@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.core.metrics import JobResult, TaskRecord
 from repro.obs.registry import parse_key
+from repro.obs.runlog import window_mean
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.runlog import RunLog
@@ -156,16 +157,6 @@ def _summed_series(log: "RunLog", metric: str) -> List[float]:
     return out
 
 
-def _window_mean(times: List[float], values: List[float],
-                 t0: float, t1: float) -> float:
-    total, count = 0.0, 0
-    for t, v in zip(times, values):
-        if t0 <= t <= t1 and not isnan(v):
-            total += v
-            count += 1
-    return total / count if count else nan
-
-
 def _window_delta(times: List[float], values: List[float],
                   t0: float, t1: float) -> float:
     """Increase of a monotone counter-style series across a window."""
@@ -208,15 +199,15 @@ def phase_utilization(log: "RunLog") -> Dict[str, Dict[str, float]]:
             "start": t0,
             "end": t1,
             "duration": t1 - t0,
-            "free_slots": _window_mean(times, free, t0, t1),
-            "pending_tasks": _window_mean(times, pending, t0, t1),
-            "device_queue_depth": _window_mean(times, qd, t0, t1),
+            "free_slots": window_mean(times, free, t0, t1),
+            "pending_tasks": window_mean(times, pending, t0, t1),
+            "device_queue_depth": window_mean(times, qd, t0, t1),
             "device_write_bytes_per_s": _window_delta(times, written,
                                                       t0, t1) / dur,
             "device_read_bytes_per_s": _window_delta(times, read,
                                                      t0, t1) / dur,
             "net_bytes_per_s": _window_delta(times, net, t0, t1) / dur,
-            "net_tx_rate_mean": _window_mean(times, tx, t0, t1),
+            "net_tx_rate_mean": window_mean(times, tx, t0, t1),
         }
     return out
 

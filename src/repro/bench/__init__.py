@@ -5,8 +5,8 @@ paths (fabric shuffle waves, FluidPipe spill storms, an end-to-end
 Fig-8-style job, event-loop timer churn), reports wall time and
 events/sec, and emits one ``BENCH_<name>.json`` per scenario so the
 perf trajectory accumulates across commits.  ``--check`` additionally
-re-runs every scenario under the retained pre-optimization reference
-paths and asserts byte-identical simulation results.
+asserts every scenario's fingerprint digest equals its committed golden
+(``goldens.json``, captured with ``tools/capture_bench_goldens.py``).
 
 See :mod:`repro.bench.scenarios` for the workloads,
 :mod:`repro.bench.harness` for the JSON schema, and ``benchmarks/perf/``

@@ -1,23 +1,19 @@
 """Benchmark harness: timing, the ``BENCH_*.json`` schema, and --check.
 
-The harness runs each scenario under the optimized engine and — for
-``--baseline`` / ``--check`` — again under the retained reference paths
-(:mod:`repro.sim.perfmode`), then writes one ``BENCH_<name>.json`` per
-scenario in a stable schema so the repository's perf trajectory can
+The harness times each scenario, then writes one ``BENCH_<name>.json``
+per scenario in a stable schema so the repository's perf trajectory can
 accumulate across commits (see DESIGN.md §8 for how to read it):
 
 .. code-block:: json
 
     {
-      "schema": 4,
+      "schema": 5,
       "name": "shuffle_wave",
       "quick": false,
       "unix_time": 1754000000.0,
       "optimized":  {"wall_s": ..., "events": ..., "events_per_s": ...,
                      "kernel_mode": "c", "sim_time_s": ...,
                      "metrics": {...}, "fingerprint_sha256": "..."},
-      "reference":  {... same shape, "kernel_mode": "python" ...},
-      "speedup_events_per_s": 3.4,
       "check": {"ran": true, "passed": true},
       "telemetry": {"wall_s": ..., "events_per_s": ...,
                     "overhead_pct": 2.1, "fingerprint_matches": true},
@@ -26,11 +22,14 @@ accumulate across commits (see DESIGN.md §8 for how to read it):
                 "n_spans": 1234}
     }
 
-``reference``/``speedup_events_per_s`` are ``null`` unless a baseline
-was measured; ``check.passed`` asserts the two engine modes produced
-**byte-identical** simulation results (same completion times, same
-bytes completed), which is what makes the optimization provably
-behavior-preserving rather than merely plausible.
+``check.passed`` (``--check``) asserts the run's fingerprint digest
+equals the committed golden in ``goldens.json`` for the scenario at
+that scale: **byte-identical** simulation results (same completion
+times, same bytes completed) to the tree the goldens were captured on.
+Any behaviour drift — in an optimized kernel or in code every run
+shares, like the scheduler — fails the check.  The goldens hold in both
+kernel modes and for any ``PYTHONHASHSEED``; recapture them with
+``tools/capture_bench_goldens.py`` only for an intended model change.
 
 ``telemetry`` (schema 2) times the optimized engine a second time with
 a full observation bundle attached — gauges wired, run-log sink
@@ -42,11 +41,10 @@ and re-asserts per commit that it costs nothing in *behavior*
 Schema 3 adds:
 
 * ``kernel_mode`` per timed run — ``"c"`` when both compiled kernels
-  (:mod:`repro.net.fastalloc`, :mod:`repro.sim.fastdrain`) loaded,
-  ``"numpy"`` when the optimized engine fell back to vectorized python,
-  and ``"python"`` for reference rows.  Numbers from different kernel
-  modes are not comparable; the column makes that visible in the
-  trajectory instead of silently mixing them.
+  (:mod:`repro.net.fastalloc`, :mod:`repro.sim.fastdrain`) loaded and
+  ``"numpy"`` when the engine fell back to vectorized python.  Numbers
+  from different kernel modes are not comparable; the column makes that
+  visible in the trajectory instead of silently mixing them.
 * ``repro bench --profile`` — a cProfile'd second optimized run per
   scenario, written as ``PROFILE_<name>.pstats`` (load with
   :mod:`pstats` or snakeviz) plus a ``PROFILE_<name>.json`` top-N
@@ -64,6 +62,10 @@ inside the timing window — what a ``repro explain`` costs end to end
 (``overhead_pct`` vs the bare optimized wall, ``n_spans`` assembled,
 and ``fingerprint_matches`` re-asserting that explanation never
 perturbs the simulation).
+
+Schema 5 drops ``reference`` and ``speedup_events_per_s`` with the
+reference engine they measured; ``--check`` compares against the
+committed goldens instead.
 """
 
 from __future__ import annotations
@@ -79,26 +81,26 @@ from typing import Any, Dict, List, Optional
 
 from repro.bench.scenarios import SCENARIOS, ScenarioResult, run_scenario
 from repro.experiments.runner import map_parallel
-from repro.sim import perfmode
 
 __all__ = ["BenchReport", "bench_scenario", "kernel_mode",
            "profile_scenario", "load_compare", "run_bench", "main"]
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
+
+#: Committed per-scenario fingerprint digests ``--check`` compares against,
+#: ``{"quick"|"full": {scenario: sha256}}`` (tools/capture_bench_goldens.py).
+GOLDENS_PATH = os.path.join(os.path.dirname(__file__), "goldens.json")
 
 
-def kernel_mode(reference: bool = False) -> str:
+def kernel_mode() -> str:
     """Which inner-loop implementation produced a timed run's numbers.
 
     ``"c"`` — both compiled kernels (fabric allocator + fluid drain /
-    fair share) loaded; ``"numpy"`` — the optimized engine fell back to
-    the vectorized python paths (no C compiler, or
-    ``REPRO_NO_CKERNEL=1``); ``"python"`` — the retained reference
-    engine, which never uses either.  events/s from different modes are
-    not comparable, so the column travels with every row.
+    fair share) loaded; ``"numpy"`` — the engine fell back to the
+    vectorized python paths (no C compiler, or ``REPRO_NO_CKERNEL=1``).
+    events/s from different modes are not comparable, so the column
+    travels with every row.
     """
-    if reference:
-        return "python"
     from repro.net import fastalloc
     from repro.sim import fastdrain
     return "c" if (fastalloc.AVAILABLE and fastdrain.AVAILABLE) else "numpy"
@@ -106,7 +108,7 @@ def kernel_mode(reference: bool = False) -> str:
 
 @dataclass
 class TimedRun:
-    """One timed scenario execution in one engine mode."""
+    """One timed scenario execution."""
 
     mode: str
     wall_s: float
@@ -122,7 +124,7 @@ class TimedRun:
             "wall_s": round(self.wall_s, 6),
             "events": self.result.events,
             "events_per_s": round(self.events_per_s, 1),
-            "kernel_mode": kernel_mode(reference=self.mode == "reference"),
+            "kernel_mode": kernel_mode(),
             "sim_time_s": self.result.sim_time,
             "metrics": self.result.metrics,
             "fingerprint_sha256": fingerprint_digest(
@@ -137,7 +139,6 @@ class BenchReport:
     name: str
     quick: bool
     optimized: TimedRun
-    reference: Optional[TimedRun] = None
     check_ran: bool = False
     check_passed: Optional[bool] = None
     telemetry: Optional[TimedRun] = None
@@ -145,12 +146,6 @@ class BenchReport:
     spans: Optional[TimedRun] = None
     spans_matches: Optional[bool] = None
     spans_count: int = 0
-
-    @property
-    def speedup(self) -> Optional[float]:
-        if self.reference is None or self.reference.events_per_s == 0:
-            return None
-        return self.optimized.events_per_s / self.reference.events_per_s
 
     @property
     def telemetry_overhead_pct(self) -> Optional[float]:
@@ -167,17 +162,12 @@ class BenchReport:
             / self.optimized.wall_s * 100.0
 
     def to_json(self) -> Dict[str, Any]:
-        speedup = self.speedup
         return {
             "schema": SCHEMA_VERSION,
             "name": self.name,
             "quick": self.quick,
             "unix_time": time.time(),
             "optimized": self.optimized.to_json(),
-            "reference": (self.reference.to_json()
-                          if self.reference is not None else None),
-            "speedup_events_per_s": (round(speedup, 3)
-                                     if speedup is not None else None),
             "check": {"ran": self.check_ran, "passed": self.check_passed},
             "telemetry": (None if self.telemetry is None else {
                 "wall_s": round(self.telemetry.wall_s, 6),
@@ -200,18 +190,20 @@ def fingerprint_digest(fingerprint: Any) -> str:
     return hashlib.sha256(repr(fingerprint).encode()).hexdigest()
 
 
-def _timed(name: str, quick: bool, reference: bool) -> TimedRun:
-    perfmode.set_reference(reference)
-    try:
-        # Keep collector pauses out of the measurement window; the
-        # optimized path's whole point is allocation behaviour.
-        gc.collect()
-        start = time.perf_counter()
-        result = run_scenario(name, quick=quick)
-        wall = time.perf_counter() - start
-    finally:
-        perfmode.set_reference(False)
-    return TimedRun("reference" if reference else "optimized", wall, result)
+def load_goldens(quick: bool) -> Dict[str, str]:
+    """The committed ``{scenario: digest}`` goldens at one scale."""
+    with open(GOLDENS_PATH) as fh:
+        return json.load(fh)["quick" if quick else "full"]
+
+
+def _timed(name: str, quick: bool) -> TimedRun:
+    # Keep collector pauses out of the measurement window; the engine's
+    # hot paths are largely about allocation behaviour.
+    gc.collect()
+    start = time.perf_counter()
+    result = run_scenario(name, quick=quick)
+    wall = time.perf_counter() - start
+    return TimedRun("optimized", wall, result)
 
 
 def _timed_telemetry(name: str, quick: bool,
@@ -253,25 +245,23 @@ def _timed_spans(name: str, quick: bool, probe_period: float = 0.25):
     return TimedRun("spans", wall, result), len(rec.spans)
 
 
-def bench_scenario(name: str, quick: bool = False, baseline: bool = False,
-                   check: bool = False, telemetry: bool = True,
+def bench_scenario(name: str, quick: bool = False, check: bool = False,
+                   telemetry: bool = True,
                    capture_dir: Optional[str] = None) -> BenchReport:
-    """Benchmark one scenario; optionally measure and verify the baseline.
+    """Benchmark one scenario; optionally check it against its golden.
 
-    Unless disabled, a third timed run measures telemetry overhead and
+    Unless disabled, a second timed run measures telemetry overhead and
     asserts the instrumented fingerprint matches the bare one.  With
     ``capture_dir``, that run's Chrome trace and run log are written to
     ``TRACE_<name>.json`` / ``LOG_<name>.jsonl`` there.
     """
-    optimized = _timed(name, quick, reference=False)
+    optimized = _timed(name, quick)
     report = BenchReport(name=name, quick=quick, optimized=optimized)
-    if baseline or check:
-        report.reference = _timed(name, quick, reference=True)
-        if check:
-            report.check_ran = True
-            report.check_passed = (
-                optimized.result.fingerprint
-                == report.reference.result.fingerprint)
+    if check:
+        report.check_ran = True
+        report.check_passed = (load_goldens(quick).get(name)
+                               == fingerprint_digest(
+                                   optimized.result.fingerprint))
     if telemetry:
         report.telemetry, bundle = _timed_telemetry(name, quick)
         report.telemetry_matches = (
@@ -386,7 +376,7 @@ def write_report(report: BenchReport, out_dir: str) -> str:
 
 
 def run_bench(scenarios: Optional[List[str]] = None, quick: bool = False,
-              baseline: bool = False, check: bool = False,
+              check: bool = False,
               out_dir: str = ".", jobs: int = 1,
               telemetry: bool = True,
               capture_dir: Optional[str] = None,
@@ -407,8 +397,7 @@ def run_bench(scenarios: Optional[List[str]] = None, quick: bool = False,
     """
     names = scenarios if scenarios else list(SCENARIOS)
     old_reports = load_compare(compare) if compare else {}
-    worker = functools.partial(bench_scenario, quick=quick,
-                               baseline=baseline, check=check,
+    worker = functools.partial(bench_scenario, quick=quick, check=check,
                                telemetry=telemetry, capture_dir=capture_dir)
     reports_out = map_parallel(worker, names, jobs=jobs)
     reports = []
@@ -416,10 +405,6 @@ def run_bench(scenarios: Optional[List[str]] = None, quick: bool = False,
         path = write_report(report, out_dir)
         line = (f"{name:14s} optimized {report.optimized.events_per_s:12,.0f}"
                 f" events/s ({report.optimized.wall_s:.3f}s wall)")
-        if report.reference is not None:
-            line += (f" | reference {report.reference.events_per_s:12,.0f}"
-                     f" events/s ({report.reference.wall_s:.3f}s wall)"
-                     f" | speedup {report.speedup:.2f}x")
         if report.check_ran:
             line += f" | check {'OK' if report.check_passed else 'FAILED'}"
         if report.telemetry is not None:
@@ -454,7 +439,7 @@ def main(args) -> int:
         print(f"--compare path does not exist: {compare}")
         return 2
     reports = run_bench(scenarios=args.scenario or None, quick=args.quick,
-                        baseline=args.baseline, check=args.check,
+                        check=args.check,
                         out_dir=args.out_dir, jobs=jobs,
                         telemetry=not getattr(args, "no_telemetry", False),
                         capture_dir=getattr(args, "capture_dir", None),
@@ -462,7 +447,8 @@ def main(args) -> int:
                         compare=compare)
     if args.check and not all(r.check_passed for r in reports):
         failed = [r.name for r in reports if not r.check_passed]
-        print(f"CHECK FAILED: optimized and reference engines diverged "
+        print(f"CHECK FAILED: fingerprints differ from the committed "
+              f"goldens ({'quick' if args.quick else 'full'} scale) "
               f"on: {', '.join(failed)}")
         return 1
     bad = [r.name for r in reports

@@ -4,9 +4,8 @@ Each scenario is a self-contained function that builds a fresh
 :class:`~repro.sim.core.Simulator`, drives one hot-path-heavy workload
 to completion, and returns a :class:`ScenarioResult` holding throughput
 inputs (dispatched events, final sim time) plus a *fingerprint* — the
-exact simulation outcome (completion times, bytes completed) used by
-``repro bench --check`` to prove the optimized engine byte-identical to
-the retained reference paths.
+exact simulation outcome (completion times, bytes completed) whose
+digest ``repro bench --check`` compares against the committed goldens.
 
 Scenarios deliberately mirror the paper's stress regimes: a
 full-Hyperion-scale shuffle wave (101 nodes, thousands of concurrent
@@ -46,7 +45,7 @@ class ScenarioResult:
     events: int
     #: Final simulated time (seconds).
     sim_time: float
-    #: Exact simulation outcome; compared with ``==`` across engine modes.
+    #: Exact simulation outcome; its digest is checked against a golden.
     fingerprint: Any
     #: Scenario-specific scalar metrics for the JSON report.
     metrics: Dict[str, float] = field(default_factory=dict)
@@ -112,9 +111,9 @@ def _shuffle_wave_10x(quick: bool,
     pulls from a bounded, deterministically-spread sender set instead of
     every peer — at this node count the bottleneck under test is the
     allocator's and calendar's scaling with *fabric size*, not raw flow
-    count.  Above ``_COMPACT_NODES`` the optimized allocator runs over
-    the compressed active-endpoint set; the reference path still scans
-    all 2 * n_nodes channels per water-level round.
+    count.  Above ``_COMPACT_NODES`` the allocator runs over the
+    compressed active-endpoint set instead of scanning all 2 * n_nodes
+    channels per water-level round.
     """
     n_nodes = 253 if quick else 1010
     fan = 8 if quick else 12
@@ -322,7 +321,7 @@ def _spill_pressure(quick: bool,
     tasks; shrunk attempts spill through the SSD page-cache/device path
     alongside the shuffle traffic.  The fingerprint covers the full task
     schedule, per-attempt heap decisions, and the spill counters, so
-    ``--check`` proves memory elasticity deterministic and engine-mode
+    ``--check`` proves memory elasticity deterministic and kernel-mode
     independent.
     """
     from repro.core.memory import MemoryConfig
@@ -366,7 +365,7 @@ def _node_crash(quick: bool,
     re-materialisation, and the node later rejoins empty.  The
     fingerprint covers the recovery bookkeeping as well as the task
     schedule, so ``--check`` proves fault handling itself is
-    deterministic and engine-mode independent.
+    deterministic and kernel-mode independent.
     """
     n_nodes = 4 if quick else 8
     data = (2 if quick else 12) * GB
@@ -409,7 +408,7 @@ def _stream_sustained(quick: bool,
     to end.  The fingerprint covers every job's arrival, first core
     grant, and completion, so ``--check`` proves the inter-job scheduler
     (and the warm-cluster teardown it depends on) deterministic and
-    engine-mode independent.
+    kernel-mode independent.
     """
     from repro.serve import StreamServer, Tenant
     tenants = (Tenant("etl", weight=2.0, quota=1.0),

@@ -19,7 +19,7 @@ Subcommands::
     python -m repro explain [RUNLOG.jsonl]   (critical path + attribution
         + scheduler decision audit; without a runlog it simulates the
         job itself, taking the same flags as `run`)
-    python -m repro bench [--quick] [--check] [--baseline]
+    python -m repro bench [--quick] [--check]
         [--scenario NAME]... [--out-dir DIR] [--profile] [--compare OLD]
     python -m repro experiments ...      (alias of repro.experiments CLI)
 """
@@ -51,8 +51,7 @@ __all__ = ["main"]
 # CLI rejects an explicit --store for it instead of silently ignoring it.
 WORKLOADS = {
     "groupby": lambda data, store: groupby_spec(
-        data, shuffle_store=store if store is not None else "ramdisk",
-        fetch_mode="network" if store != "lustre" else "lustre-local"),
+        data, shuffle_store=store if store is not None else "ramdisk"),
     "grep": lambda data, store: grep_spec(data, shuffle_store=store),
     "lr": lambda data, store: logistic_regression_spec(data),
     "wordcount": lambda data, store: wordcount_spec(data,
@@ -220,11 +219,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     bench.add_argument("--quick", action="store_true",
                        help="small scenario sizes (CI smoke)")
     bench.add_argument("--check", action="store_true",
-                       help="also run the retained reference engine and "
-                            "assert byte-identical simulation results")
-    bench.add_argument("--baseline", action="store_true",
-                       help="also time the reference engine (speedup "
-                            "column) without the identity check")
+                       help="assert each scenario's fingerprint digest "
+                            "equals its committed golden (goldens.json)")
     bench.add_argument("--scenario", action="append", default=[],
                        metavar="NAME",
                        help="run only this scenario (repeatable); "
@@ -236,8 +232,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                             "results stay identical but wall-clock "
                             "timings share the machine (default: 1)")
     bench.add_argument("--no-telemetry", action="store_true",
-                       help="skip the instrumented third run (telemetry "
-                            "overhead + fingerprint-match columns)")
+                       help="skip the instrumented runs (telemetry and "
+                            "spans overhead + fingerprint-match columns)")
     bench.add_argument("--capture-dir", default=None, metavar="DIR",
                        help="also export each scenario's instrumented run "
                             "as TRACE_<name>.json + LOG_<name>.jsonl here")

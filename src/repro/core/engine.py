@@ -482,70 +482,54 @@ class SparkSim:
 
         if self._shuffling():
             yield from self._maybe_combine()
-            store_start = self.sim.now
-            if self.sim._tracing:
-                self._phase_trace("phase-start", "store")
-            records = yield self._run_store_stage()
-            self._finish_stage()
-            self._phases["store"] = PhaseMetrics(
-                "store", store_start, self.sim.now, records)
-            if self.sim._tracing:
-                self._phase_trace("phase-end", "store")
-            # Shuffle files lost mid-store are restored before reducers
-            # build their fetch plans from the store-bytes arrays.
-            yield from self._recovery_barrier()
-
-            if spec.fetch_mode == "lustre-shared":
-                self._split_lustre_shuffle_files()
-
-            fetch_start = self.sim.now
-            if self.sim._tracing:
-                self._phase_trace("phase-start", "fetch")
-            records = yield self._run_fetch_stage()
-            self._finish_stage()
-            self._phases["fetch"] = PhaseMetrics(
-                "fetch", fetch_start, self.sim.now, records)
-            if self.sim._tracing:
-                self._phase_trace("phase-end", "fetch")
-            self._shuffle_rounds.append(
-                (float(self.node_store_bytes.sum()),
-                 float(self.node_store_bytes.sum())))
+            yield from self._shuffle_round(None)
         return None
 
-    def _shuffle_round(self, iteration: int):
-        """One store + fetch round of a per-iteration shuffle."""
+    def _phase(self, phase: str, iteration: Optional[int], stage):
+        """Run ``stage()`` as one named phase: trace edges + metrics.
+
+        Phases of a per-iteration shuffle are keyed ``store[2]``; a
+        classic job's single shuffle (``iteration=None``) keeps the
+        unsuffixed ``store``/``fetch`` names and round-less trace edges.
+        """
+        start = self.sim.now
+        if self.sim._tracing:
+            self._phase_trace("phase-start", phase, round_=iteration)
+        records = yield stage()
+        self._finish_stage()
+        key = phase if iteration is None else f"{phase}[{iteration}]"
+        self._phases[key] = PhaseMetrics(key, start, self.sim.now, records)
+        if self.sim._tracing:
+            self._phase_trace("phase-end", phase, round_=iteration)
+
+    def _shuffle_round(self, iteration: Optional[int]):
+        """One store + fetch round of the shuffle.
+
+        ``iteration=None`` is a classic job's single shuffle after the
+        compute loop: historical noise streams (``store-noise``,
+        ``fetch-noise``) and shuffle ids.  An integer is one round of a
+        per-iteration (M3R) shuffle.
+        """
         spec = self.spec
         self._current_round = iteration
-        # Iteration 0 moves the full intermediate volume; with the
-        # partition map pinned, later iterations ship only the delta.
-        scale = 1.0 if iteration == 0 or not spec.partition_stable \
-            else spec.delta_ratio
+        # Round 0 (and a classic shuffle) moves the full intermediate
+        # volume; with the partition map pinned, later rounds ship only
+        # the delta.
+        scale = spec.delta_ratio if iteration and spec.partition_stable \
+            else 1.0
         self.node_store_bytes[:] = 0.0
         self.source_store_bytes[:] = 0.0
-        store_start = self.sim.now
-        if self.sim._tracing:
-            self._phase_trace("phase-start", "store", round_=iteration)
-        records = yield self._run_store_stage(iteration=iteration,
-                                              scale=scale)
-        self._finish_stage()
-        self._phases[f"store[{iteration}]"] = PhaseMetrics(
-            f"store[{iteration}]", store_start, self.sim.now, records)
-        if self.sim._tracing:
-            self._phase_trace("phase-end", "store", round_=iteration)
+        yield from self._phase("store", iteration, lambda: (
+            self._run_store_stage(iteration=iteration, scale=scale)))
+        # Shuffle files lost mid-store are restored before reducers
+        # build their fetch plans from the store-bytes arrays.
         yield from self._recovery_barrier()
 
         if spec.fetch_mode == "lustre-shared":
             self._split_lustre_shuffle_files(iteration=iteration)
 
-        fetch_start = self.sim.now
-        if self.sim._tracing:
-            self._phase_trace("phase-start", "fetch", round_=iteration)
-        records = yield self._run_fetch_stage(iteration=iteration)
-        self._finish_stage()
-        self._phases[f"fetch[{iteration}]"] = PhaseMetrics(
-            f"fetch[{iteration}]", fetch_start, self.sim.now, records)
-        if self.sim._tracing:
-            self._phase_trace("phase-end", "fetch", round_=iteration)
+        yield from self._phase("fetch", iteration, lambda: (
+            self._run_fetch_stage(iteration=iteration)))
         self._shuffle_rounds.append(
             (float(self.node_store_bytes.sum()),
              float(self.node_store_bytes.sum())))

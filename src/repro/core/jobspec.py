@@ -51,8 +51,11 @@ class JobSpec:
     input_source: str = "generated"
     #: Where the storing phase materialises intermediate data.
     shuffle_store: Optional[str] = None
-    #: How fetching tasks retrieve intermediate data.
-    fetch_mode: str = "network"
+    #: How fetching tasks retrieve intermediate data; ``None`` resolves
+    #: from the store: ``"lustre-local"`` for a Lustre store (nodes hold
+    #: no ``lustre`` volume to serve network fetches from), ``"network"``
+    #: otherwise.
+    fetch_mode: Optional[str] = None
     #: Reducer count; ``None`` → twice the cluster core count.
     n_reducers: Optional[int] = None
     #: Iterations of the computation stage (LR runs 3).
@@ -97,6 +100,11 @@ class JobSpec:
     delta_ratio: float = 1.0
 
     def __post_init__(self) -> None:
+        if self.fetch_mode is None:
+            object.__setattr__(
+                self, "fetch_mode",
+                "lustre-local" if self.shuffle_store == "lustre"
+                else "network")
         if self.input_bytes < 0:
             raise ValueError("input_bytes must be non-negative")
         if self.split_bytes <= 0:
@@ -117,6 +125,11 @@ class JobSpec:
                 self.shuffle_store not in (None, "lustre"):
             raise ValueError(
                 "lustre fetch modes require shuffle_store='lustre'")
+        if self.shuffle_store == "lustre" and self.fetch_mode == "network":
+            raise ValueError(
+                "shuffle_store='lustre' needs a lustre fetch mode "
+                "('lustre-local' or 'lustre-shared'): nodes hold no "
+                "'lustre' volume to serve network fetches from")
         if self.task_heap_bytes is not None and self.task_heap_bytes <= 0:
             raise ValueError("task_heap_bytes must be positive when set")
         if self.key_skew < 0:

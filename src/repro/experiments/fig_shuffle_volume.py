@@ -68,9 +68,7 @@ def _run_groupby(policy: str, store: str, skew: float, combiner: bool,
                  scale: Scale, seed: int) -> Dict[str, float]:
     spec = groupby_spec(
         scale.bytes_of(PAPER_INPUT_BYTES), split_bytes=128 * MB,
-        shuffle_store=store,
-        fetch_mode="lustre-local" if store == "lustre" else "network",
-        combiner=combiner, key_skew=skew)
+        shuffle_store=store, combiner=combiner, key_skew=skew)
     options = EngineOptions(seed=seed,
                             elb=(policy == "elb"),
                             cad=(policy == "cad"))

@@ -1,7 +1,8 @@
 /* Progressive-filling max-min allocator: C hot loop.
  *
- * Bit-for-bit the same arithmetic as Fabric._assign_rates_reference in
- * fabric.py (see DESIGN.md section 8 for the equivalence argument):
+ * Bit-for-bit the same arithmetic as the full-width NumPy progressive
+ * filling kept as the test oracle in tests/oracles.py (see DESIGN.md
+ * section 8 for the equivalence argument):
  *
  *   - every floating-point operation here is the identical IEEE-754
  *     double operation the NumPy reference applies elementwise, in the
@@ -15,8 +16,8 @@
  *
  * Compile with strict FP semantics only: no -ffast-math, and
  * -ffp-contract=off so no FMA contraction changes rounding.  The
- * loader (fastalloc.py) passes those flags; the engine falls back to
- * the pure-NumPy fast path when no C toolchain is available.
+ * loader (repro/sim/ckernel.py) passes those flags; the engine falls
+ * back to the pure-NumPy fast path when no C toolchain is available.
  */
 
 #include <math.h>

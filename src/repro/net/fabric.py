@@ -23,9 +23,9 @@ O(1) write instead of five ``np.append`` full-array copies, and a
 departure is an order-preserving compaction instead of a five-array
 boolean-mask rebuild plus a Python loop over every live flow.
 Per-node tx/rx rate accumulators are maintained at reallocation so
-:meth:`Fabric.utilization` is an O(1) read.  The pre-optimization code
-paths are retained behind :mod:`repro.sim.perfmode` so
-``repro bench --check`` can prove the optimized fabric byte-identical.
+:meth:`Fabric.utilization` is an O(1) read.  The pre-optimization
+allocator survives only as a test oracle (``tests/oracles.py``);
+``repro bench --check`` gates on committed fingerprint digests.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 import numpy as np
 
 from repro.net import fastalloc
-from repro.sim import perfmode
 from repro.sim.events import Event
 from repro.sim.flowarray import FlowTable
 
@@ -128,7 +127,7 @@ class Fabric:
         self.small_flow_bytes = float(small_flow_bytes)
         self._realloc_pending = False
         self.flows: List[NetFlow] = []
-        # Columnar flow state, parallel to ``self.flows`` (optimized path).
+        # Columnar flow state, parallel to ``self.flows``.
         self._tab = FlowTable(src=np.int64, dst=np.int64, cap=np.float64,
                               remaining=np.float64, rate=np.float64)
         # Per-node rate accumulators, refreshed at every reallocation and
@@ -160,12 +159,6 @@ class Fabric:
             self._present = np.zeros(n_nodes, dtype=bool)
             self._inv = np.empty(n_nodes, dtype=np.int64)
             self._iota = np.arange(n_nodes, dtype=np.int64)
-        # Reference-path flow state (perfmode), parallel to ``self.flows``.
-        self._src = np.empty(0, dtype=np.int64)
-        self._dst = np.empty(0, dtype=np.int64)
-        self._caps = np.empty(0)
-        self._remaining = np.empty(0)
-        self._rates = np.empty(0)
         self._last_advance = sim.now
         self._timer_token = 0
         self._flow_seq = 0
@@ -202,15 +195,7 @@ class Fabric:
                            nbytes=nbytes)
         self._advance()
         self.flows.append(flow)
-        if perfmode.REFERENCE:
-            self._src = np.append(self._src, flow.src)
-            self._dst = np.append(self._dst, flow.dst)
-            self._caps = np.append(self._caps, flow.cap)
-            self._remaining = np.append(self._remaining, flow.remaining)
-            self._rates = np.append(self._rates, 0.0)
-        else:
-            self._tab.append(flow.src, flow.dst, flow.cap, flow.remaining,
-                             0.0)
+        self._tab.append(flow.src, flow.dst, flow.cap, flow.remaining, 0.0)
         self._schedule_realloc()
         return done
 
@@ -225,12 +210,6 @@ class Fabric:
 
     def utilization(self, node: int) -> Dict[str, float]:
         """Current tx/rx byte rates at ``node`` (an O(1) accumulator read)."""
-        if perfmode.REFERENCE:
-            if len(self.flows) == 0:
-                return {"tx": 0.0, "rx": 0.0}
-            tx = float(self._rates[self._src == node].sum())
-            rx = float(self._rates[self._dst == node].sum())
-            return {"tx": tx, "rx": rx}
         return {"tx": float(self._tx_rate[node]),
                 "rx": float(self._rx_rate[node])}
 
@@ -240,9 +219,6 @@ class Fabric:
         dt = now - self._last_advance
         self._last_advance = now
         if dt <= 0 or not self.flows:
-            return
-        if perfmode.REFERENCE:
-            self._advance_reference(dt)
             return
         tab = self._tab
         remaining = tab.col("remaining")
@@ -254,9 +230,8 @@ class Fabric:
         schedule = self.sim.schedule_callback
         latency = self.latency
         indices = finished_idx.tolist()
-        # Completion events enqueue in ascending flow order — the same
-        # FIFO order the reference path produces — so same-timestamp
-        # downstream scheduling stays byte-identical.
+        # Completion events enqueue in ascending flow order, so
+        # same-timestamp downstream scheduling is deterministic.
         tracing = self.sim._tracing
         for i in indices:
             f = flows[i]
@@ -275,33 +250,6 @@ class Fabric:
                 del flows[i]
             tab.remove(finished_idx)
         self._refresh_node_rates()
-
-    def _advance_reference(self, dt: float) -> None:
-        """The retained pre-optimization advancement (perfmode)."""
-        self._remaining -= self._rates * dt
-        finished_mask = self._remaining <= 1e-6
-        if not finished_mask.any():
-            return
-        keep = ~finished_mask
-        survivors: List[NetFlow] = []
-        tracing = self.sim._tracing
-        for i, f in enumerate(self.flows):
-            if finished_mask[i]:
-                f.remaining = 0.0
-                self.bytes_completed += f.size
-                if tracing:
-                    self.sim.trace("flow-end", fid=f.fid, src=f.src,
-                                   dst=f.dst, nbytes=f.size)
-                # Tail latency: the last byte still needs to propagate.
-                self.sim.schedule_callback(self.latency, f.done.succeed, f)
-            else:
-                survivors.append(f)
-        self.flows = survivors
-        self._src = self._src[keep]
-        self._dst = self._dst[keep]
-        self._caps = self._caps[keep]
-        self._remaining = self._remaining[keep]
-        self._rates = self._rates[keep]
 
     def _zero_node_rates(self) -> None:
         """Clear the accumulators, touching only scattered-to nodes on
@@ -376,11 +324,8 @@ class Fabric:
         self._timer_token += 1
         token = self._timer_token
         if len(self.flows):
-            if perfmode.REFERENCE:
-                remaining, rates = self._remaining, self._rates
-            else:
-                remaining = self._tab.col("remaining")
-                rates = self._tab.col("rate")
+            remaining = self._tab.col("remaining")
+            rates = self._tab.col("rate")
             positive = rates > 0
             if positive.any():
                 horizon = float(
@@ -397,82 +342,14 @@ class Fabric:
         self._schedule_realloc()
 
     def _assign_rates(self) -> None:
-        """Progressive-filling max–min allocation (mode dispatcher)."""
-        if perfmode.REFERENCE:
-            self._assign_rates_reference()
-        else:
-            self._assign_rates_fast()
-
-    def _assign_rates_reference(self) -> None:
-        """Vectorised progressive-filling max–min allocation.
-
-        Iterations are bounded by the number of distinct binding
-        constraints: each round saturates at least one NIC direction, the
-        core, or a cap level (relative tolerances keep float error from
-        stalling the loop).
-        """
-        n_flows = len(self.flows)
-        if n_flows == 0:
-            return
-        src, dst, caps = self._src, self._dst, self._caps
-        rates = np.zeros(n_flows)
-        active = np.ones(n_flows, dtype=bool)
-        tx_head = np.full(self.n_nodes, self.nic_bw)
-        rx_head = np.full(self.n_nodes, self.nic_bw)
-        core_head = self.bisection_bw
-        nic_tol = 1e-7 * self.nic_bw
-        finite_cap = np.isfinite(caps)
-        cap_tol = np.where(finite_cap, 1e-7 * caps + 1e-12, 0.0)
-
-        while active.any():
-            tx_cnt = np.bincount(src[active], minlength=self.n_nodes)
-            rx_cnt = np.bincount(dst[active], minlength=self.n_nodes)
-            inc = math.inf
-            tx_used = tx_cnt > 0
-            if tx_used.any():
-                inc = min(inc, float((tx_head[tx_used]
-                                      / tx_cnt[tx_used]).min()))
-            rx_used = rx_cnt > 0
-            if rx_used.any():
-                inc = min(inc, float((rx_head[rx_used]
-                                      / rx_cnt[rx_used]).min()))
-            n_active = int(active.sum())
-            if core_head is not None:
-                inc = min(inc, core_head / n_active)
-            margins = caps[active] - rates[active]
-            inc = min(inc, float(margins.min()))
-            if not math.isfinite(inc) or inc < 0:
-                inc = 0.0
-            # Raise the water level for every unfixed flow.
-            rates[active] += inc
-            tx_head -= inc * tx_cnt
-            rx_head -= inc * rx_cnt
-            if core_head is not None:
-                core_head -= inc * n_active
-            # Freeze flows that hit their cap or a saturated constraint.
-            sat_tx = tx_head <= nic_tol
-            sat_rx = rx_head <= nic_tol
-            frozen = ((finite_cap & (caps - rates <= cap_tol))
-                      | sat_tx[src] | sat_rx[dst])
-            if core_head is not None and \
-                    core_head <= 1e-7 * (self.bisection_bw or 1.0):
-                frozen = np.ones(n_flows, dtype=bool)
-            newly = active & frozen
-            if not newly.any():
-                break  # no progress possible: freeze the rest as-is
-            active &= ~frozen
-
-        self._rates = rates
-        for f, r in zip(self.flows, rates):
-            f.rate = float(r)
-
-    def _assign_rates_fast(self) -> None:
         """Byte-identical progressive filling over a compressed active set.
 
-        Same algorithm and same float sequences as
-        :meth:`_assign_rates_reference`, restructured around three exact
-        identities so each round costs ~a dozen ufunc dispatches on
-        shrinking arrays instead of ~three dozen on full-width ones:
+        Same algorithm and same float sequences as the textbook
+        full-width progressive filling (kept as the oracle
+        ``ReferenceFabric`` in ``tests/oracles.py``), restructured
+        around three exact identities so each round costs ~a dozen
+        ufunc dispatches on shrinking arrays instead of ~three dozen on
+        full-width ones:
 
         * Every still-active flow has received the identical sequence of
           water-level increments, so per-flow rates collapse to one
@@ -531,7 +408,7 @@ class Fabric:
 
     def _assign_rates_numpy(self, n: int, src: np.ndarray,
                             dst: np.ndarray) -> np.ndarray:
-        """Pure-NumPy fast allocator (see :meth:`_assign_rates_fast`).
+        """Pure-NumPy fast allocator (see :meth:`_assign_rates`).
 
         ``n`` is the channel-set node count and ``src``/``dst`` index
         into it — the full fabric below :data:`_COMPACT_NODES`, the

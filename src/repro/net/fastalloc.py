@@ -3,81 +3,42 @@
 The max–min allocator is the simulator's measured hot spot: tens of
 thousands of reallocations, each running ~a dozen water-filling rounds,
 each round a handful of small-array NumPy calls whose cost is ufunc
-dispatch rather than data.  This module compiles ``_fastalloc.c`` once
-per machine (cached by source hash under the user's temp directory),
-loads it with :mod:`ctypes`, and exposes :func:`assign_rates`.
+dispatch rather than data.  This module builds and loads
+``_fastalloc.c`` through :mod:`repro.sim.ckernel` and exposes
+:func:`assign_rates`.
 
-The kernel is bit-for-bit equivalent to the NumPy reference — see the
-header comment in ``_fastalloc.c`` and DESIGN.md §8 — and ``repro bench
---check`` asserts that equivalence end to end.
+The kernel is bit-for-bit equivalent to the NumPy allocator — see the
+header comment in ``_fastalloc.c`` and DESIGN.md §8 — and
+``repro bench --check`` gates both kernel modes on the same golden
+fingerprints.
 
-Everything degrades gracefully: no C compiler, a failed build, or
-``REPRO_NO_CKERNEL=1`` in the environment leaves :data:`AVAILABLE`
-false and the fabric uses its pure-NumPy fast path instead.  No
-third-party packages are involved (ctypes is stdlib).
+No C compiler, a failed build, or ``REPRO_NO_CKERNEL=1`` in the
+environment leaves :data:`AVAILABLE` false and the fabric uses its
+pure-NumPy fast path instead.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
-import subprocess
-import tempfile
 from typing import Optional
 
 import numpy as np
 
+from repro.sim import ckernel
+
 __all__ = ["AVAILABLE", "assign_rates"]
 
-_SRC = os.path.join(os.path.dirname(__file__), "_fastalloc.c")
-# Strict IEEE-754 only: never -ffast-math, and -ffp-contract=off so FMA
-# contraction cannot change rounding vs. the NumPy reference.
-_CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
-
-
-def _build() -> Optional[str]:
-    """Compile (or reuse) the kernel; return the .so path or ``None``."""
-    try:
-        with open(_SRC, "rb") as fh:
-            source = fh.read()
-        tag = hashlib.sha256(source).hexdigest()[:16]
-        cache = os.path.join(tempfile.gettempdir(),
-                             f"repro-fastalloc-{os.getuid()}")
-        os.makedirs(cache, exist_ok=True)
-        so_path = os.path.join(cache, f"_fastalloc-{tag}.so")
-        if not os.path.exists(so_path):
-            tmp = f"{so_path}.tmp.{os.getpid()}"
-            subprocess.run(["cc", *_CFLAGS, "-o", tmp, _SRC],
-                           check=True, capture_output=True, timeout=120)
-            os.replace(tmp, so_path)  # atomic: concurrent builds race safely
-        return so_path
-    except Exception:
-        return None
-
-
-def _load() -> Optional[ctypes.CDLL]:
-    if os.environ.get("REPRO_NO_CKERNEL") == "1":
-        return None
-    so_path = _build()
-    if so_path is None:
-        return None
-    try:
-        lib = ctypes.CDLL(so_path)
-        fn = lib.repro_assign_rates
-        fn.restype = ctypes.c_int64
-        fn.argtypes = [ctypes.c_int64, ctypes.c_int64,   # n_nodes, m
-                       ctypes.c_void_p, ctypes.c_void_p,  # src, dst
-                       ctypes.c_void_p,                   # caps
-                       ctypes.c_double, ctypes.c_double,  # nic_bw, bisection
-                       ctypes.c_int64,                    # has_core
-                       ctypes.c_void_p]                   # out_rates
-        return lib
-    except Exception:
-        return None
-
-
-_LIB = _load()
+_LIB = ckernel.load(
+    os.path.join(os.path.dirname(__file__), "_fastalloc.c"),
+    {"repro_assign_rates": (
+        ctypes.c_int64,
+        [ctypes.c_int64, ctypes.c_int64,     # n_nodes, m
+         ctypes.c_void_p, ctypes.c_void_p,   # src, dst
+         ctypes.c_void_p,                    # caps
+         ctypes.c_double, ctypes.c_double,   # nic_bw, bisection
+         ctypes.c_int64,                     # has_core
+         ctypes.c_void_p])})                 # out_rates
 
 #: True when the compiled kernel is loaded and usable.
 AVAILABLE = _LIB is not None

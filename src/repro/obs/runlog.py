@@ -13,7 +13,20 @@ from dataclasses import dataclass, field
 from math import nan
 from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["RunLog", "load_runlog"]
+__all__ = ["RunLog", "load_runlog", "window_mean"]
+
+
+def window_mean(times: List[float], values: List[float],
+                t0: float, t1: float) -> float:
+    """Mean of ``values`` sampled at ``times`` within ``[t0, t1]``
+    (NaN-skipping; NaN when the window holds no samples)."""
+    total = 0.0
+    count = 0
+    for t, v in zip(times, values):
+        if t0 <= t <= t1 and v == v:
+            total += v
+            count += 1
+    return total / count if count else nan
 
 
 @dataclass
@@ -65,18 +78,9 @@ class RunLog:
         return self.columns.get(key, [nan] * len(self.times))
 
     def window_mean(self, key: str, t0: float, t1: float) -> float:
-        """Mean of a sampled column over ``[t0, t1]`` (NaN-skipping;
-        NaN when the window holds no samples)."""
-        total = 0.0
-        count = 0
-        col = self.columns.get(key)
-        if col is None:
-            return nan
-        for t, v in zip(self.times, col):
-            if t0 <= t <= t1 and v == v:
-                total += v
-                count += 1
-        return total / count if count else nan
+        """Mean of a sampled column over ``[t0, t1]`` (see
+        :func:`window_mean`)."""
+        return window_mean(self.times, self.column(key), t0, t1)
 
 
 def load_runlog(path: str) -> RunLog:

@@ -4,8 +4,8 @@
  * rate * dt, collects the flows that finished (remaining <= 1e-6,
  * in original flow order), and compacts the survivors down over the
  * holes with a write cursor.  This is bit-for-bit the arithmetic of
- * FluidPipe._advance's optimized Python loop (and of the retained
- * reference path):
+ * FluidPipe._advance's NumPy fallback (and of the per-flow Python
+ * loop kept as the test oracle in tests/oracles.py):
  *
  *   - `remaining - rate * dt` is one IEEE-754 double multiply and one
  *     subtract per flow, the exact per-element sequence the Python
@@ -18,9 +18,9 @@
  *
  * Compile with strict FP semantics only: no -ffast-math, and
  * -ffp-contract=off so no FMA contraction changes the rounding of
- * rate * dt before the subtract.  The loader (fastdrain.py) passes
+ * rate * dt before the subtract.  The loader (ckernel.py) passes
  * those flags; FluidPipe falls back to the vectorized NumPy drain
- * (and the reference Python loop) when no C toolchain is available.
+ * when no C toolchain is available.
  */
 
 #include <math.h>

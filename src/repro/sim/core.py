@@ -7,7 +7,6 @@ from collections import deque
 from typing import Any, Callable, Dict, Generator, Iterable, List, \
     Optional, Union
 
-from repro.sim import perfmode
 from repro.sim.events import NORMAL, AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.trace import TraceEvent
@@ -194,9 +193,6 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        if perfmode.REFERENCE:
-            self.schedule_callback_event(delay, fn, *args)
-            return
         self._seq += 1
         heapq.heappush(self._queue,
                        (self._now + delay, NORMAL, self._seq, fn, args))
@@ -217,9 +213,7 @@ class Simulator:
         state (and may re-arm itself via :meth:`schedule_daemon`); it
         must never schedule non-daemon work or mutate simulated state.
         ``delay`` must be strictly positive so self-rearming daemons
-        always advance the clock.  Daemons bypass
-        :mod:`~repro.sim.perfmode` — observation is not part of the
-        reference-vs-optimized engine surface.
+        always advance the clock.
         """
         if delay <= 0:
             raise ValueError(f"daemon delay must be positive, got {delay}")
@@ -306,12 +300,9 @@ class Simulator:
         and daemons are 6-tuples so observation never rides the batch.
         Dispatch counts accumulate in a local and flush to
         :attr:`events_dispatched` before any daemon runs (probes sample
-        it) and on loop exit.  :meth:`step` and the reference loop in
-        :meth:`_run_reference` keep the original one-at-a-time form.
+        it) and on loop exit.  :meth:`step` keeps the one-at-a-time
+        form.
         """
-        if perfmode.REFERENCE:
-            return self._run_reference(until)
-
         queue = self._queue
         pop = heapq.heappop
         pending = Event._PENDING
@@ -422,30 +413,3 @@ class Simulator:
             return None
         finally:
             self.events_dispatched += batch
-
-    def _run_reference(self, until: Optional[Union[float, Event]]) -> Any:
-        """The retained pre-optimization run loop (perfmode): one
-        :meth:`step` per entry, no timer batching."""
-        if until is None:
-            while len(self._queue) > self._daemons:
-                self.step()
-            return None
-
-        if isinstance(until, Event):
-            stop = until
-            while not stop.processed:
-                if len(self._queue) <= self._daemons:
-                    raise self._deadlock(stop) from None
-                self.step()
-            if not stop.ok:
-                stop.defuse()
-                raise stop.value
-            return stop.value
-
-        horizon = float(until)
-        if horizon < self._now:
-            raise ValueError(f"until={horizon} lies in the past (now={self._now})")
-        while self._queue and self._queue[0][0] <= horizon:
-            self.step()
-        self._now = horizon
-        return None

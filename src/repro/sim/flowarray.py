@@ -10,10 +10,9 @@ finished rows compacts the storage in place.
 Compaction is **order-preserving** by design, not swap-removal: the
 simulation's determinism contract schedules completion events in flow
 order, and two flows finishing at the same timestamp must enqueue
-their events in the same FIFO order as the reference implementation,
-or downstream same-timestamp scheduling decisions diverge.  A stable
-compaction keeps survivor order identical to the reference path's
-boolean-mask rebuild while still avoiding per-arrival reallocation and
+their events in flow order, or downstream same-timestamp scheduling
+decisions diverge.  A stable compaction keeps survivor order identical
+to a boolean-mask rebuild while still avoiding per-arrival reallocation and
 per-completion full-array copies of every column.
 """
 

@@ -13,7 +13,7 @@ the standard flow-level (fluid) approximation used by network and storage
 simulators: per-packet behaviour is abstracted away but contention,
 fair-sharing, and completion-time dynamics are preserved.
 
-Hot-path notes (see DESIGN.md §8/§12): the optimized path keeps
+Hot-path notes (see DESIGN.md §8/§12): the pipe keeps
 ``remaining``/``rate`` in columnar float64 arrays parallel to the flow
 list, so the per-event drain is one C-kernel call
 (:mod:`repro.sim.fastdrain`) or one vectorized NumPy pass instead of a
@@ -24,9 +24,8 @@ while the flow set is unchanged; same-timestamp reallocations are
 coalesced behind a pending flag exactly as ``Fabric._schedule_realloc``
 does; and :attr:`FluidPipe.load` reads an epoch-cached aggregate
 (O(1) between flow events) instead of rescanning every flow.  The
-pre-optimization code paths are retained behind
-:mod:`repro.sim.perfmode` so ``repro bench --check`` can prove the
-optimized pipe byte-identical.
+pre-optimization per-flow loops survive only as a test oracle
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.sim import fastdrain, perfmode
+from repro.sim import fastdrain
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -128,8 +127,8 @@ class FluidPipe:
         # while the flow set is unchanged (None = recompute).
         self._order: Optional[List[int]] = None
         self._caps_cache: List[float] = []
-        # Columnar remaining/rate parallel to ``self.flows`` (optimized
-        # path): the authoritative per-flow counters live here so the
+        # Columnar remaining/rate parallel to ``self.flows``: the
+        # authoritative per-flow counters live here so the
         # drain is one kernel call; Flow objects mirror at completion
         # and :meth:`advance` boundaries, like Fabric's NetFlow.
         self._a_rem = np.empty(16)
@@ -173,22 +172,12 @@ class FluidPipe:
         completion events (use :meth:`advance` for that).  Flows that
         would already have drained at the current rates contribute zero.
 
-        The optimized path answers from an aggregate cached per flow
-        event (remaining-sum, rate-sum, earliest-completion horizon), so
-        repeated reads between events are O(1) instead of a full scan;
-        only a read past the horizon — where per-flow clamping matters —
-        falls back to one vectorized pass.
+        Answered from an aggregate cached per flow event (remaining-sum,
+        rate-sum, earliest-completion horizon), so repeated reads
+        between events are O(1) instead of a full scan; only a read past
+        the horizon — where per-flow clamping matters — falls back to
+        one vectorized pass.
         """
-        if perfmode.REFERENCE:
-            dt = self.sim.now - self._last_advance
-            if dt <= 0:
-                return sum(f.remaining for f in self.flows)
-            total = 0.0
-            for f in self.flows:
-                left = f.remaining - f.rate * dt
-                if left > 0.0:
-                    total += left
-            return total
         n = len(self.flows)
         if n == 0:
             return 0.0
@@ -222,15 +211,13 @@ class FluidPipe:
         state (rather than the computed :attr:`load`) call this first.
         """
         self._advance()
-        if not perfmode.REFERENCE:
-            # Mirror the authoritative columns back onto the Flow
-            # objects for the observer (the implicit advances leave the
-            # objects at their last completion-boundary values).
-            n = len(self.flows)
-            for f, r, rt in zip(self.flows, self._a_rem[:n],
-                                self._a_rate[:n]):
-                f.remaining = float(r)
-                f.rate = float(rt)
+        # Mirror the authoritative columns back onto the Flow objects
+        # for the observer (the implicit advances leave the objects at
+        # their last completion-boundary values).
+        n = len(self.flows)
+        for f, r, rt in zip(self.flows, self._a_rem[:n], self._a_rate[:n]):
+            f.remaining = float(r)
+            f.rate = float(rt)
 
     def set_capacity(self, capacity: float) -> None:
         """Change the static capacity (takes effect immediately)."""
@@ -258,19 +245,15 @@ class FluidPipe:
             done.succeed(flow)
             return done
         self._advance()
-        if not perfmode.REFERENCE:
-            n = len(self.flows)
-            if n == self._a_rem.shape[0]:
-                self._grow()
-            self._a_rem[n] = flow.remaining
-            self._a_rate[n] = 0.0
-            self._sums_valid = False
+        n = len(self.flows)
+        if n == self._a_rem.shape[0]:
+            self._grow()
+        self._a_rem[n] = flow.remaining
+        self._a_rate[n] = 0.0
+        self._sums_valid = False
         self.flows.append(flow)
         self._order = None
-        if perfmode.REFERENCE:
-            self._reallocate()
-        else:
-            self._schedule_realloc()
+        self._schedule_realloc()
         return done
 
     def _grow(self) -> None:
@@ -295,9 +278,6 @@ class FluidPipe:
         dt = now - self._last_advance
         self._last_advance = now
         if dt <= 0 or not self.flows:
-            return
-        if perfmode.REFERENCE:
-            self._advance_reference(dt)
             return
         # One decrement-and-compact pass over the columns: the C kernel
         # (or the vectorized NumPy fallback) replaces the former
@@ -339,19 +319,6 @@ class FluidPipe:
             self.bytes_completed += f.size
             f.done.succeed(f)
 
-    def _advance_reference(self, dt: float) -> None:
-        """The retained pre-optimization advancement (perfmode)."""
-        finished = []
-        for f in self.flows:
-            f.remaining -= f.rate * dt
-            if f.remaining <= 1e-6:
-                f.remaining = 0.0
-                finished.append(f)
-        for f in finished:
-            self.flows.remove(f)
-            self.bytes_completed += f.size
-            f.done.succeed(f)
-
     def _schedule_realloc(self) -> None:
         """Coalesce all same-timestamp flow changes into one allocation.
 
@@ -372,9 +339,6 @@ class FluidPipe:
 
     def _reallocate(self) -> None:
         """Recompute fair-share rates and reschedule the completion timer."""
-        if perfmode.REFERENCE:
-            self._reallocate_reference()
-            return
         n = len(self.flows)
         horizon = math.inf
         if n:
@@ -402,8 +366,8 @@ class FluidPipe:
                 rate = self._a_rate[:n]
                 positive = rate > 0
                 if positive.any():
-                    # Same per-flow divisions as the reference loop;
-                    # min is order-independent at the bit level.
+                    # Same per-flow divisions as the C kernel; min is
+                    # order-independent at the bit level.
                     horizon = float(
                         (self._a_rem[:n][positive] / rate[positive]).min())
         self._timer_token += 1
@@ -415,29 +379,8 @@ class FluidPipe:
             self.sim.schedule_callback(max(horizon, 1e-9),
                                        self._on_timer, token)
 
-    def _reallocate_reference(self) -> None:
-        """The retained pre-optimization reallocation (perfmode)."""
-        if self.flows:
-            caps = [f.cap for f in self.flows]
-            order = sorted(range(len(caps)), key=caps.__getitem__)
-            rates = fair_share(self.capacity, caps, order)
-            for f, r in zip(self.flows, rates):
-                f.rate = r
-        self._timer_token += 1
-        token = self._timer_token
-        horizon = math.inf
-        for f in self.flows:
-            if f.rate > 0:
-                horizon = min(horizon, f.remaining / f.rate)
-        if math.isfinite(horizon):
-            self.sim.schedule_callback(max(horizon, 1e-9),
-                                       self._on_timer, token)
-
     def _on_timer(self, token: int) -> None:
         if token != self._timer_token:
             return  # stale timer; a newer reallocation superseded it
         self._advance()
-        if perfmode.REFERENCE:
-            self._reallocate()
-        else:
-            self._schedule_realloc()
+        self._schedule_realloc()

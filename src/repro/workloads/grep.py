@@ -57,8 +57,6 @@ def grep_spec(input_bytes: float,
         intermediate_ratio=ratio,
         input_source=input_source,
         shuffle_store=shuffle_store,
-        fetch_mode="network" if shuffle_store != "lustre"
-        else "lustre-local",
         n_reducers=n_reducers,
         # A text corpus is ingested from outside through gateway nodes, so
         # its HDFS blocks are hotspot-skewed; scan times vary per split

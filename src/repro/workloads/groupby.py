@@ -23,7 +23,7 @@ __all__ = ["groupby_spec", "run_groupby_local"]
 def groupby_spec(data_bytes: float,
                  split_bytes: float = 256 * MB,
                  shuffle_store: str = "ramdisk",
-                 fetch_mode: str = "network",
+                 fetch_mode: Optional[str] = None,
                  n_reducers: Optional[int] = None,
                  generate_rate: float = 350 * MB,
                  reduce_rate: float = 1.5 * GB,
@@ -35,7 +35,9 @@ def groupby_spec(data_bytes: float,
 
     ``data_bytes`` is both input and intermediate volume (ratio 1.0).
     The paper sweeps it from 100 GB to 1.5 TB and varies where the
-    intermediate data lives (``shuffle_store`` / ``fetch_mode``).
+    intermediate data lives (``shuffle_store`` / ``fetch_mode``;
+    ``fetch_mode=None`` picks the store's natural mode, see
+    :attr:`JobSpec.fetch_mode`).
 
     ``combiner=True`` merges each node's pairs before the storing stage;
     the shuffle volume then follows the expected distinct-key count of

@@ -56,8 +56,6 @@ def wordcount_spec(input_bytes: float,
         intermediate_ratio=1.0 if combiner else combine_ratio,
         input_source=input_source,
         shuffle_store=shuffle_store,
-        fetch_mode="network" if shuffle_store != "lustre"
-        else "lustre-local",
         n_reducers=n_reducers,
         hdfs_placement="skewed",          # text corpus, like Grep
         compute_noise_sigma=0.25,

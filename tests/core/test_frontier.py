@@ -2,12 +2,11 @@
 
 The optimized :meth:`StageRunner._free_nodes` reads a maintained
 ascending list of nodes with free capacity instead of scanning all
-``n_nodes``; the pre-optimization scan is retained under
-``perfmode.REFERENCE``.  These property tests drive adversarial
+``n_nodes``.  These property tests drive adversarial
 sequences of every slot-mutation site — capacity grants, revocations
 (including ones that create owed-slot debt), task-exit releases, node
-deaths and restarts — and assert after **every** operation that the two
-implementations return the identical list.
+deaths and restarts — and assert after **every** operation that it
+returns the identical list to the full scan.
 """
 
 from hypothesis import given, settings
@@ -16,7 +15,7 @@ from hypothesis import strategies as st
 from repro.core.faults import NodeLiveness
 from repro.core.policies import LocalityFirstPolicy
 from repro.core.scheduler import StageRunner
-from repro.sim import Simulator, perfmode
+from repro.sim import Simulator
 
 N_NODES = 12
 
@@ -37,14 +36,10 @@ def _make_runner(liveness, slots):
 
 
 def _both_views(runner):
-    """(optimized, reference) results of _free_nodes on the same state."""
-    optimized = runner._free_nodes()
-    perfmode.set_reference(True)
-    try:
-        reference = runner._free_nodes()
-    finally:
-        perfmode.set_reference(False)
-    return optimized, reference
+    """(frontier, full scan) views of the free nodes on the same state."""
+    full_scan = [n for n in range(runner.n_nodes)
+                 if runner.free_slots[n] > 0 and runner._alive(n)]
+    return runner._free_nodes(), full_scan
 
 
 @given(_ops, st.lists(st.integers(min_value=0, max_value=2),

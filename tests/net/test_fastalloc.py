@@ -1,12 +1,13 @@
-"""Allocator parity: C kernel vs NumPy fast path vs retained reference.
+"""Allocator parity: C kernel vs NumPy fast path vs the reference oracle.
 
-The perf PR's headline claim is that all three implementations of the
-progressive-filling max–min allocator produce byte-identical results.
-These tests drive a randomized fabric workload under each
-implementation and compare completion times, mid-simulation per-flow
-rates, and per-node utilization accumulators with exact equality — no
-tolerances.  ``REPRO_NO_CKERNEL=1`` gating is checked in a subprocess
-because the kernel loads at import time.
+All three implementations of the progressive-filling max–min allocator
+must produce byte-identical results: the compiled kernel, the NumPy
+fast path, and the full-width textbook loop kept as
+:class:`tests.oracles.ReferenceFabric`.  These tests drive a randomized
+fabric workload under each implementation and compare completion times,
+mid-simulation per-flow rates, and per-node utilization accumulators
+with exact equality — no tolerances.  ``REPRO_NO_CKERNEL=1`` gating is
+checked in a subprocess because the kernel loads at import time.
 """
 
 import math
@@ -20,14 +21,20 @@ import pytest
 
 from repro.net import fastalloc
 from repro.net.fabric import Fabric
-from repro.sim import Simulator, perfmode
+from repro.sim import Simulator
+from tests.oracles import ReferenceFabric, ReferenceSimulator
 
 
-def _drive(n_nodes=8, n_flows=40, seed=1234):
-    """Randomized fabric workload; returns everything observable."""
-    sim = Simulator()
-    fab = Fabric(sim, n_nodes, nic_bw=100.0, bisection_bw=550.0,
-                 latency=1e-3)
+def _drive(n_nodes=8, n_flows=40, seed=1234, fabric_cls=Fabric,
+           sim_cls=Simulator):
+    """Randomized fabric workload; returns everything observable.
+
+    ``small_flow_bytes=0`` routes every transfer through the allocator
+    (the default threshold would complete these sub-KB flows directly).
+    """
+    sim = sim_cls()
+    fab = fabric_cls(sim, n_nodes, nic_bw=100.0, bisection_bw=550.0,
+                     latency=1e-3, small_flow_bytes=0.0)
     times = {}
     samples = []
     rng = random.Random(seed)
@@ -41,7 +48,8 @@ def _drive(n_nodes=8, n_flows=40, seed=1234):
         ev.add_callback(lambda e, k=k: times.__setitem__(k, sim.now))
 
     def probe(k):
-        rates = tuple(sorted((f.tag, f.rate) for f in fab.flows))
+        rates = tuple(sorted(zip((f.tag for f in fab.flows),
+                                 fab._tab.col("rate").tolist())))
         util = tuple((fab.utilization(nd)["tx"], fab.utilization(nd)["rx"])
                      for nd in range(n_nodes))
         samples.append((sim.now, rates, util))
@@ -57,11 +65,9 @@ class TestThreeWayParity:
     def test_numpy_matches_reference(self, monkeypatch):
         monkeypatch.setattr(fastalloc, "AVAILABLE", False)
         numpy_out = _drive()
-        perfmode.set_reference(True)
-        try:
-            reference_out = _drive()
-        finally:
-            perfmode.set_reference(False)
+        reference_out = _drive(fabric_cls=ReferenceFabric,
+                               sim_cls=ReferenceSimulator)
+        assert any(rates for _t, rates, _u in numpy_out[1])  # flows seen
         assert numpy_out == reference_out
 
     @pytest.mark.skipif(not fastalloc.AVAILABLE,

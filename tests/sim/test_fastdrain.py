@@ -1,12 +1,13 @@
 """C drain / fair-share kernel parity (hypothesis-driven).
 
 The perf claim is that three implementations of the fluid-pipe inner
-loops — the retained reference Python loop, the vectorized NumPy
+loops — the per-flow Python loop kept as
+:class:`tests.oracles.ReferenceFluidPipe`, the vectorized NumPy
 fallback, and the C kernel — are **bit-for-bit** interchangeable.
 These tests drive all of them against a transparent Python model with
 adversarial rates, sizes, and near-threshold epsilons, and compare with
-exact equality — never tolerances.  ``repro bench --check`` asserts the
-same property end to end on the macro scenarios.
+exact equality — never tolerances.  ``repro bench --check`` gates both
+kernel modes on the same golden fingerprints of the macro scenarios.
 """
 
 import math
@@ -16,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import FluidPipe, Simulator, perfmode
+from repro.sim import FluidPipe, Simulator
 from repro.sim import fastdrain
 from repro.sim.fluid import fair_share
+from tests.oracles import ReferenceFluidPipe, ReferenceSimulator
 
 # Adversarial magnitudes: tiny values straddling the 1e-6 finish
 # threshold, everyday byte counts, and huge transfers.
@@ -116,7 +118,7 @@ class TestFairShareParity:
 
 class TestLoadAggregateParity:
     """`FluidPipe.load` answers from an incremental aggregate; the
-    reference rescans every flow.  The aggregate reorders the float
+    reference oracle rescans every flow.  The aggregate reorders the float
     summation (one subtract of `rate_sum*dt` instead of per-flow
     subtracts), so parity here is near-exact rather than bitwise —
     unlike everything the fingerprint check covers, `load` is a pure
@@ -131,25 +133,20 @@ class TestLoadAggregateParity:
                     min_size=1, max_size=8))
     @settings(max_examples=50, deadline=None)
     def test_load_reads_match_reference(self, arrivals, probe_times):
-        def drive(reference):
-            perfmode.set_reference(reference)
-            try:
-                sim = Simulator()
-                pipe = FluidPipe(sim, capacity=1e6)
-                for delay, size in arrivals:
-                    sim.schedule_callback(
-                        delay, lambda s=size: pipe.transfer(s))
-                reads = []
-                for t in probe_times:
-                    sim.schedule_callback(
-                        t, lambda: reads.append((sim.now, pipe.load)))
-                sim.run()
-                return reads
-            finally:
-                perfmode.set_reference(False)
+        def drive(sim, pipe_cls):
+            pipe = pipe_cls(sim, capacity=1e6)
+            for delay, size in arrivals:
+                sim.schedule_callback(
+                    delay, lambda s=size: pipe.transfer(s))
+            reads = []
+            for t in probe_times:
+                sim.schedule_callback(
+                    t, lambda: reads.append((sim.now, pipe.load)))
+            sim.run()
+            return reads
 
-        optimized = drive(False)
-        reference = drive(True)
+        optimized = drive(Simulator(), FluidPipe)
+        reference = drive(ReferenceSimulator(), ReferenceFluidPipe)
         assert len(optimized) == len(reference)
         for (t_opt, load_opt), (t_ref, load_ref) in zip(optimized,
                                                         reference):
@@ -159,12 +156,12 @@ class TestLoadAggregateParity:
 
 
 class TestEndToEndPipeParity:
-    """Optimized FluidPipe vs the retained reference, whole runs."""
+    """Optimized FluidPipe vs the reference oracle, whole runs."""
 
     @staticmethod
-    def _drive(schedule, capacity):
-        sim = Simulator()
-        pipe = FluidPipe(sim, capacity=capacity)
+    def _drive(schedule, capacity, sim_cls=Simulator, pipe_cls=FluidPipe):
+        sim = sim_cls()
+        pipe = pipe_cls(sim, capacity=capacity)
         completions = []
 
         def start(k, size, cap):
@@ -188,9 +185,6 @@ class TestEndToEndPipeParity:
     def test_optimized_run_is_byte_identical_to_reference(self, schedule,
                                                           capacity):
         optimized = self._drive(schedule, capacity)
-        perfmode.set_reference(True)
-        try:
-            reference = self._drive(schedule, capacity)
-        finally:
-            perfmode.set_reference(False)
+        reference = self._drive(schedule, capacity, ReferenceSimulator,
+                                ReferenceFluidPipe)
         assert optimized == reference

@@ -2,10 +2,10 @@
 
 Covers the satellite guarantees from the perf PR: ``load`` is a pure
 read, ``advance()`` is the explicit mutation point, the coalesced
-reallocation path is observably identical to the retained reference
-path, and ``fair_share`` satisfies the max–min properties
-(work-conservation, cap-respect, permutation invariance) under
-Hypothesis-generated inputs.
+reallocation path is observably identical to the reference oracle
+(:class:`tests.oracles.ReferenceFluidPipe`), and ``fair_share``
+satisfies the max–min properties (work-conservation, cap-respect,
+permutation invariance) under Hypothesis-generated inputs.
 """
 
 import math
@@ -13,8 +13,9 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Simulator, perfmode
+from repro.sim import Simulator
 from repro.sim.fluid import FluidPipe, fair_share
+from tests.oracles import ReferenceFluidPipe, ReferenceSimulator
 
 _CAP = st.one_of(st.floats(min_value=0.1, max_value=1e6),
                  st.just(math.inf))
@@ -107,11 +108,12 @@ class TestLoadIsPure:
         assert done and pipe.n_active == 0
 
 
-def _drive_chained(n_chains=6, depth=4):
+def _drive_chained(n_chains=6, depth=4, sim_cls=Simulator,
+                   pipe_cls=FluidPipe):
     """A chained-transfer workload; returns (tag -> completion time)."""
-    sim = Simulator()
-    pipe = FluidPipe(sim, capacity=1000.0,
-                     capacity_fn=lambda n: 1000.0 / (1 + 0.1 * n))
+    sim = sim_cls()
+    pipe = pipe_cls(sim, capacity=1000.0,
+                    capacity_fn=lambda n: 1000.0 / (1 + 0.1 * n))
     times = {}
 
     def start(chain, hop):
@@ -131,13 +133,10 @@ def _drive_chained(n_chains=6, depth=4):
 
 class TestCoalescingParity:
     def test_optimized_matches_reference(self):
-        """Same completion times, byte for byte, in both modes."""
+        """Same completion times, byte for byte, as the oracle."""
         optimized = _drive_chained()
-        perfmode.set_reference(True)
-        try:
-            reference = _drive_chained()
-        finally:
-            perfmode.set_reference(False)
+        reference = _drive_chained(sim_cls=ReferenceSimulator,
+                                   pipe_cls=ReferenceFluidPipe)
         assert optimized == reference
 
     def test_drain_order_preserved(self):

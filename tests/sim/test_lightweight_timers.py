@@ -7,8 +7,9 @@ a mix of lightweight timers and Event-based entries, and callers that
 need an Event still get one via ``schedule_callback_event``.
 """
 
-from repro.sim import Simulator, perfmode
+from repro.sim import Simulator
 from repro.sim.events import Event
+from tests.oracles import ReferenceSimulator
 
 
 class TestLightweightTimers:
@@ -75,21 +76,9 @@ class TestEventAPICompat:
         assert got == [7]
         assert ev.triggered
 
-    def test_reference_mode_routes_through_events(self):
-        perfmode.set_reference(True)
-        try:
-            sim = Simulator()
-            got = []
-            sim.schedule_callback(0.25, got.append, 1)
-            sim.run()
-            assert got == [1]
-            assert sim.events_dispatched == 1
-        finally:
-            perfmode.set_reference(False)
-
     def test_modes_agree_on_timestamps(self):
-        def drive():
-            sim = Simulator()
+        """Lightweight timers vs the all-Event reference loop."""
+        def drive(sim):
             stamps = []
 
             def tick(k):
@@ -99,15 +88,11 @@ class TestEventAPICompat:
 
             sim.schedule_callback(0.0, tick, 0)
             sim.run()
-            return stamps
+            return stamps, sim.events_dispatched
 
-        optimized = drive()
-        perfmode.set_reference(True)
-        try:
-            reference = drive()
-        finally:
-            perfmode.set_reference(False)
-        assert optimized == reference  # byte-identical times
+        optimized = drive(Simulator())
+        reference = drive(ReferenceSimulator())
+        assert optimized == reference  # byte-identical times and counts
 
 
 class TestTraceGate:

@@ -92,6 +92,32 @@ class TestSpecs:
         assert spec.shuffle_store == "lustre"
         assert spec.fetch_mode == "lustre-local"
 
+    def test_lustre_store_defaults_to_lustre_fetch(self):
+        """Regression: a Lustre store with the default fetch mode used
+        to pass validation, then crash in the fetch stage (``KeyError:
+        node 2 has no volume 'lustre'``)."""
+        from repro.cluster.spec import hyperion
+        from repro.core.engine import EngineOptions, run_job
+        spec = groupby_spec(2 * GB, shuffle_store="lustre")
+        assert spec.fetch_mode == "lustre-local"
+        res = run_job(spec, cluster_spec=hyperion(4),
+                      options=EngineOptions(seed=3))
+        assert res.fetch_time > 0
+
+    def test_lustre_store_rejects_network_fetch(self):
+        with pytest.raises(ValueError, match="lustre fetch mode"):
+            groupby_spec(2 * GB, shuffle_store="lustre",
+                         fetch_mode="network")
+        spec = groupby_spec(2 * GB)
+        with pytest.raises(ValueError, match="lustre fetch mode"):
+            spec.with_(shuffle_store="lustre")
+
+    def test_default_fetch_mode_is_network_off_lustre(self):
+        for store in ("ramdisk", "ssd"):
+            assert groupby_spec(GB, shuffle_store=store).fetch_mode \
+                == "network"
+        assert logistic_regression_spec(GB).fetch_mode == "network"
+
     def test_lr_three_iterations_cached_no_shuffle(self):
         spec = logistic_regression_spec(10 * GB)
         assert spec.iterations == 3
