@@ -95,6 +95,14 @@ class ClusterSpec:
             raise ValueError(f"n_nodes must be >= 1, got {self.n_nodes}")
         if self.nic_bw <= 0:
             raise ValueError("nic_bw must be positive")
+        if self.bisection_bw is not None and self.bisection_bw <= 0:
+            raise ValueError(f"bisection_bw must be positive or None "
+                             f"(non-blocking), got {self.bisection_bw}")
+        for name in ("net_latency", "lustre_lock_revoke_latency",
+                     "lustre_open_latency"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be >= 0 seconds, got {getattr(self, name)}")
 
     def scaled(self, n_nodes: int) -> "ClusterSpec":
         """A copy with a different node count; shared-resource capacities

@@ -40,6 +40,10 @@ class LustreFileSystem:
             raise ValueError("n_nodes must be >= 1")
         if mds_ops_per_s <= 0:
             raise ValueError("mds_ops_per_s must be positive")
+        for name, value in (("open_latency", open_latency),
+                            ("revoke_latency", revoke_latency)):
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         self.sim = sim
         self.n_nodes = n_nodes
         self.open_latency = float(open_latency)

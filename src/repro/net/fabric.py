@@ -16,14 +16,18 @@ rate recomputation happens at every flow arrival and departure (see the
 profiling guidance in the repository's HPC coding guides: vectorise the
 measured hotspot, nothing else).
 
-Hot-path notes (see DESIGN.md §8): flow state lives in a
+Hot-path notes (see DESIGN.md §8): the fabric is a
+:class:`~repro.sim.flowarray.FlowSet`, the event skeleton it shares
+with :class:`~repro.sim.fluid.FluidPipe`.  Flow state lives in a
 :class:`~repro.sim.flowarray.FlowTable` — amortized-doubling
-preallocated columns behind a live-length cursor — so an arrival is an
+preallocated columns behind a live-length cursor, with ``src``/``dst``/
+``cap`` beside the shared ``remaining``/``rate`` — so an arrival is an
 O(1) write instead of five ``np.append`` full-array copies, and a
-departure is an order-preserving compaction instead of a five-array
-boolean-mask rebuild plus a Python loop over every live flow.
-Per-node tx/rx rate accumulators are maintained at reallocation so
-:meth:`Fabric.utilization` is an O(1) read.  The pre-optimization
+departure is the shared drain (the C kernel when it loaded) plus an
+order-preserving compaction.  The fabric adds only its policy:
+progressive filling, completion latency, and per-node tx/rx rate
+accumulators maintained at reallocation so :meth:`Fabric.utilization`
+is an O(1) read.  The pre-optimization
 allocator survives only as a test oracle (``tests/oracles.py``);
 ``repro bench --check`` gates on committed fingerprint digests.
 """
@@ -31,13 +35,13 @@ allocator survives only as a test oracle (``tests/oracles.py``);
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.net import fastalloc
 from repro.sim.events import Event
-from repro.sim.flowarray import FlowTable
+from repro.sim.flowarray import Flow, FlowSet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
@@ -58,31 +62,22 @@ _EPS = 1e-9
 _COMPACT_NODES = 256
 
 
-class NetFlow:
+class NetFlow(Flow):
     """One transfer in flight through the fabric.
 
-    A thin view over the fabric's columnar flow state: the authoritative
-    ``remaining``/``rate`` live in the arrays; the object mirrors
-    ``remaining`` at allocation and completion boundaries and carries
-    the completion event and tag.  ``rate`` is *not* mirrored per
-    reallocation on the optimized path (that was an O(flows) Python loop
-    per flow event); read ``Fabric._tab.col("rate")`` for live rates.
+    Adds the endpoints and a fabric-assigned flow id to :class:`Flow`.
+    ``rate`` is *not* mirrored per reallocation (that was an O(flows)
+    Python loop per flow event); read ``Fabric._tab.col("rate")`` for
+    live rates.
     """
 
-    __slots__ = ("src", "dst", "size", "remaining", "rate", "cap", "done",
-                 "started_at", "tag", "fid")
+    __slots__ = ("src", "dst", "fid")
 
     def __init__(self, src: int, dst: int, size: float, cap: float,
                  done: Event, started_at: float, tag: Any) -> None:
+        super().__init__(size, cap, done, started_at, tag)
         self.src = src
         self.dst = dst
-        self.size = float(size)
-        self.remaining = float(size)
-        self.rate = 0.0
-        self.cap = float(cap)
-        self.done = done
-        self.started_at = started_at
-        self.tag = tag
         #: Fabric-assigned flow id, stable for the flow's lifetime —
         #: correlates flow-start/flow-end trace events (async spans in
         #: the Chrome-trace export).
@@ -93,7 +88,7 @@ class NetFlow:
                 f"{self.remaining:.0f}/{self.size:.0f}B @{self.rate:.0f}B/s>")
 
 
-class Fabric:
+class Fabric(FlowSet):
     """An ``n_nodes`` fabric with per-NIC tx/rx capacities.
 
     Parameters
@@ -115,7 +110,12 @@ class Fabric:
             raise ValueError("need at least one node")
         if nic_bw <= 0:
             raise ValueError("nic_bw must be positive")
-        self.sim = sim
+        if bisection_bw is not None and bisection_bw <= 0:
+            raise ValueError(
+                f"bisection_bw must be positive or None, got {bisection_bw}")
+        if latency < 0:
+            raise ValueError(f"latency must be >= 0, got {latency}")
+        super().__init__(sim, src=np.int64, dst=np.int64, cap=np.float64)
         self.n_nodes = n_nodes
         self.nic_bw = float(nic_bw)
         self.bisection_bw = bisection_bw
@@ -125,11 +125,6 @@ class Fabric:
         #: negligible load but would otherwise trigger a global rate
         #: recomputation each (control messages, tiny shuffle slices).
         self.small_flow_bytes = float(small_flow_bytes)
-        self._realloc_pending = False
-        self.flows: List[NetFlow] = []
-        # Columnar flow state, parallel to ``self.flows``.
-        self._tab = FlowTable(src=np.int64, dst=np.int64, cap=np.float64,
-                              remaining=np.float64, rate=np.float64)
         # Per-node rate accumulators, refreshed at every reallocation and
         # compaction, so ``utilization`` is an O(1) read.
         self._tx_rate = np.zeros(n_nodes)
@@ -159,10 +154,7 @@ class Fabric:
             self._present = np.zeros(n_nodes, dtype=bool)
             self._inv = np.empty(n_nodes, dtype=np.int64)
             self._iota = np.arange(n_nodes, dtype=np.int64)
-        self._last_advance = sim.now
-        self._timer_token = 0
         self._flow_seq = 0
-        self.bytes_completed = 0.0
 
     # -- public API -----------------------------------------------------------
     def transfer(self, src: int, dst: int, nbytes: float,
@@ -193,10 +185,7 @@ class Fabric:
         if self.sim._tracing:
             self.sim.trace("flow-start", fid=flow.fid, src=src, dst=dst,
                            nbytes=nbytes)
-        self._advance()
-        self.flows.append(flow)
-        self._tab.append(flow.src, flow.dst, flow.cap, flow.remaining, 0.0)
-        self._schedule_realloc()
+        self._admit(flow, src, dst, flow.cap)
         return done
 
     def _finish_direct(self, flow: NetFlow) -> None:
@@ -204,52 +193,29 @@ class Fabric:
         self.bytes_completed += flow.size
         flow.done.succeed(flow)
 
-    @property
-    def n_active(self) -> int:
-        return len(self.flows)
-
     def utilization(self, node: int) -> Dict[str, float]:
         """Current tx/rx byte rates at ``node`` (an O(1) accumulator read)."""
         return {"tx": float(self._tx_rate[node]),
                 "rx": float(self._rx_rate[node])}
 
-    # -- fluid machinery -------------------------------------------------------
-    def _advance(self) -> None:
-        now = self.sim.now
-        dt = now - self._last_advance
-        self._last_advance = now
-        if dt <= 0 or not self.flows:
-            return
-        tab = self._tab
-        remaining = tab.col("remaining")
-        remaining -= tab.col("rate") * dt
-        finished_idx = np.flatnonzero(remaining <= 1e-6)
-        if finished_idx.size == 0:
-            return
-        flows = self.flows
-        schedule = self.sim.schedule_callback
-        latency = self.latency
-        indices = finished_idx.tolist()
+    # -- FlowSet policy --------------------------------------------------------
+    def _finished(self, finished: Sequence[NetFlow]) -> None:
         # Completion events enqueue in ascending flow order, so
         # same-timestamp downstream scheduling is deterministic.
+        schedule = self.sim.schedule_callback
+        latency = self.latency
         tracing = self.sim._tracing
-        for i in indices:
-            f = flows[i]
-            f.remaining = 0.0
-            self.bytes_completed += f.size
+        for f in finished:
             if tracing:
                 self.sim.trace("flow-end", fid=f.fid, src=f.src, dst=f.dst,
                                nbytes=f.size)
             # Tail latency: the last byte still needs to propagate.
             schedule(latency, f.done.succeed, f)
-        if finished_idx.size == len(flows):
-            flows.clear()
-            tab.clear()
-        else:
-            for i in reversed(indices):
-                del flows[i]
-            tab.remove(finished_idx)
         self._refresh_node_rates()
+
+    def _allocate(self) -> float:
+        self._assign_rates()
+        return self._tab.horizon()
 
     def _zero_node_rates(self) -> None:
         """Clear the accumulators, touching only scattered-to nodes on
@@ -301,45 +267,6 @@ class Fabric:
                                     minlength=self.n_nodes)
         self._rx_rate = np.bincount(tab.col("dst"), weights=rates,
                                     minlength=self.n_nodes)
-
-    def _schedule_realloc(self) -> None:
-        """Coalesce all same-timestamp flow changes into one allocation.
-
-        Shuffle fetch chains complete and immediately issue the next
-        request at the same simulated instant; recomputing rates once per
-        instant instead of once per change halves the allocator load.
-        """
-        if self._realloc_pending:
-            return
-        self._realloc_pending = True
-        self.sim.schedule_callback(0.0, self._do_realloc)
-
-    def _do_realloc(self) -> None:
-        self._realloc_pending = False
-        self._advance()   # collect completions from late same-time changes
-        self._reallocate()
-
-    def _reallocate(self) -> None:
-        self._assign_rates()
-        self._timer_token += 1
-        token = self._timer_token
-        if len(self.flows):
-            remaining = self._tab.col("remaining")
-            rates = self._tab.col("rate")
-            positive = rates > 0
-            if positive.any():
-                horizon = float(
-                    (remaining[positive] / rates[positive]).min())
-                # Clamp: a sub-ULP horizon must still advance the clock,
-                # or the timer respins at this timestamp forever.
-                self.sim.schedule_callback(max(horizon, 1e-9),
-                                           self._on_timer, token)
-
-    def _on_timer(self, token: int) -> None:
-        if token != self._timer_token:
-            return
-        self._advance()
-        self._schedule_realloc()
 
     def _assign_rates(self) -> None:
         """Byte-identical progressive filling over a compressed active set.

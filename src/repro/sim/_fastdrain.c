@@ -1,10 +1,10 @@
-/* Fluid-pipe drain: C hot loop.
+/* Fluid-flow drain: C hot loop.
  *
  * One flow event advances every flow's remaining-byte counter by
  * rate * dt, collects the flows that finished (remaining <= 1e-6,
  * in original flow order), and compacts the survivors down over the
  * holes with a write cursor.  This is bit-for-bit the arithmetic of
- * FluidPipe._advance's NumPy fallback (and of the per-flow Python
+ * FlowTable.drain's NumPy fallback (and of the per-flow Python
  * loop kept as the test oracle in tests/oracles.py):
  *
  *   - `remaining - rate * dt` is one IEEE-754 double multiply and one
@@ -19,8 +19,8 @@
  * Compile with strict FP semantics only: no -ffast-math, and
  * -ffp-contract=off so no FMA contraction changes the rounding of
  * rate * dt before the subtract.  The loader (ckernel.py) passes
- * those flags; FluidPipe falls back to the vectorized NumPy drain
- * when no C toolchain is available.
+ * those flags; FlowTable.drain falls back to the vectorized NumPy
+ * drain when no C toolchain is available.
  */
 
 #include <math.h>
@@ -60,7 +60,7 @@ int64_t repro_fluid_drain(int64_t n, double dt,
  * subtract the grant.  On ties min() returns an equal double either
  * way, so the branch direction cannot change the stored value.
  *
- * The second pass is FluidPipe._reallocate's horizon scan: the min
+ * The second pass is FlowTable.horizon's scan: the min
  * over remaining[i]/out_rates[i] for positive rates, in flow order
  * (min is order-independent at the bit level, but we keep flow order
  * anyway).  Returns +inf when no flow has a positive rate.

@@ -1,12 +1,14 @@
-"""Optional C kernel for the fluid-pipe drain.
+"""Optional C kernels for the fluid-flow drain and the pipe's fair share.
 
-:class:`~repro.sim.fluid.FluidPipe` advances every flow's remaining-byte
-counter at each flow event; on busy pipes (spill storms, hundreds of
-concurrent writers) that decrement-and-compact loop is one of the two
-remaining inner loops in the simulator (the other is the timer drain,
-batched in :meth:`~repro.sim.core.Simulator.run`).  This module builds
-and loads ``_fastdrain.c`` through :mod:`repro.sim.ckernel` and exposes
-:func:`drain` and the fused fair-share :func:`fair_share_into`.
+Every fluid model (:class:`~repro.sim.fluid.FluidPipe`,
+:class:`~repro.net.fabric.Fabric`) advances every flow's remaining-byte
+counter at each flow event through
+:meth:`~repro.sim.flowarray.FlowTable.drain`; on busy pipes (spill
+storms, hundreds of concurrent writers) and shuffle waves that
+decrement-and-compact loop is one of the simulator's inner loops.  This
+module builds and loads ``_fastdrain.c`` through :mod:`repro.sim.ckernel`
+and exposes the pre-bound entry points :data:`RAW_DRAIN` and
+:data:`RAW_FAIR` (the pipe's fused fair-share + horizon).
 
 The kernel is bit-for-bit equivalent to the NumPy fallback — see the
 header comment in ``_fastdrain.c`` and DESIGN.md §12 — and
@@ -15,8 +17,8 @@ fingerprints (Hypothesis drives the adversarial cases in
 ``tests/sim/test_fastdrain.py``).
 
 No C compiler, a failed build, or ``REPRO_NO_CKERNEL=1`` in the
-environment leaves :data:`AVAILABLE` false and the pipe uses its
-vectorized NumPy drain instead.
+environment leaves :data:`AVAILABLE` false and both entry points
+``None``; callers then take the vectorized NumPy path.
 """
 
 from __future__ import annotations
@@ -24,11 +26,9 @@ from __future__ import annotations
 import ctypes
 import os
 
-import numpy as np
-
 from repro.sim import ckernel
 
-__all__ = ["AVAILABLE", "drain", "fair_share_into", "RAW_DRAIN", "RAW_FAIR"]
+__all__ = ["AVAILABLE", "RAW_DRAIN", "RAW_FAIR"]
 
 _LIB = ckernel.load(
     os.path.join(os.path.dirname(__file__), "_fastdrain.c"),
@@ -52,35 +52,3 @@ AVAILABLE = _LIB is not None
 # the kernel is unavailable.
 RAW_DRAIN = _LIB.repro_fluid_drain if _LIB is not None else None
 RAW_FAIR = _LIB.repro_fair_share if _LIB is not None else None
-
-
-def drain(n: int, dt: float, remaining: np.ndarray, rate: np.ndarray,
-          finished_out: np.ndarray) -> int:
-    """Run the C drain; returns the finished count, or ``-1`` to fall back.
-
-    ``remaining``/``rate`` must be contiguous float64 with at least ``n``
-    leading live entries; both are compacted in place.  Pre-compaction
-    indices of finished flows land in ``finished_out`` (contiguous
-    int64, capacity >= ``n``) in ascending order.
-    """
-    if _LIB is None:
-        return -1
-    return _LIB.repro_fluid_drain(
-        n, dt, remaining.ctypes.data, rate.ctypes.data,
-        finished_out.ctypes.data)
-
-
-def fair_share_into(capacity: float, n: int, caps: np.ndarray,
-                    order: np.ndarray, remaining: np.ndarray,
-                    rates_out: np.ndarray) -> float:
-    """Run the fused C fair-share + horizon; returns the horizon.
-
-    ``caps`` (float64) and ``order`` (int64, an ascending-cap stable
-    sort of ``range(n)``) must be length ``n``; rates land in
-    ``rates_out[:n]``.  Returns ``math.inf`` when nothing drains, or
-    ``nan`` (never produced by the kernel) is not used — callers must
-    check :data:`AVAILABLE` first; raises if the kernel is absent.
-    """
-    return _LIB.repro_fair_share(
-        capacity, n, caps.ctypes.data, order.ctypes.data,
-        remaining.ctypes.data, rates_out.ctypes.data)

@@ -13,19 +13,19 @@ the standard flow-level (fluid) approximation used by network and storage
 simulators: per-packet behaviour is abstracted away but contention,
 fair-sharing, and completion-time dynamics are preserved.
 
-Hot-path notes (see DESIGN.md §8/§12): the pipe keeps
-``remaining``/``rate`` in columnar float64 arrays parallel to the flow
-list, so the per-event drain is one C-kernel call
-(:mod:`repro.sim.fastdrain`) or one vectorized NumPy pass instead of a
-Python loop; finished flows are compacted out order-preservingly
-(``list.remove`` per completion is O(n²) across a drain); the
-sorted-cap order feeding :func:`fair_share` is cached between events
-while the flow set is unchanged; same-timestamp reallocations are
-coalesced behind a pending flag exactly as ``Fabric._schedule_realloc``
-does; and :attr:`FluidPipe.load` reads an epoch-cached aggregate
-(O(1) between flow events) instead of rescanning every flow.  The
-pre-optimization per-flow loops survive only as a test oracle
-(``tests/oracles.py``).
+Hot-path notes (see DESIGN.md §8/§12): the pipe is a
+:class:`~repro.sim.flowarray.FlowSet` — the event skeleton it shares
+with :class:`~repro.net.fabric.Fabric` — so per-flow
+``remaining``/``rate`` live in a :class:`~repro.sim.flowarray.FlowTable`
+and the per-event drain is one C-kernel call (:mod:`repro.sim.fastdrain`)
+or one vectorized NumPy pass, same-timestamp reallocations are
+coalesced, and finished flows are compacted out order-preservingly.
+The pipe adds only its policy: the sorted-cap order feeding
+:func:`fair_share` is cached between events while the flow set is
+unchanged and fused with the horizon scan in the C kernel, and
+:attr:`FluidPipe.load` reads an epoch-cached aggregate (O(1) between
+flow events) instead of rescanning every flow.  The pre-optimization
+per-flow loops survive only as a test oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.sim import fastdrain
 from repro.sim.events import Event
+from repro.sim.flowarray import Flow, FlowSet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
@@ -76,29 +77,9 @@ def fair_share(capacity: float, caps: Sequence[float],
     return rates
 
 
-class Flow:
-    """One transfer through a :class:`FluidPipe`."""
-
-    __slots__ = ("pipe", "size", "remaining", "rate", "cap", "done",
-                 "started_at", "tag")
-
-    def __init__(self, pipe: "FluidPipe", size: float, cap: float,
-                 done: Event, tag: Any) -> None:
-        self.pipe = pipe
-        self.size = float(size)
-        self.remaining = float(size)
-        self.rate = 0.0
-        self.cap = float(cap)
-        self.done = done
-        self.started_at = pipe.sim.now
-        self.tag = tag
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"<Flow tag={self.tag!r} {self.remaining:.0f}/{self.size:.0f}B"
-                f" @{self.rate:.0f}B/s>")
 
 
-class FluidPipe:
+class FluidPipe(FlowSet):
     """A shared-bandwidth channel with max–min fair sharing.
 
     Parameters
@@ -115,43 +96,29 @@ class FluidPipe:
                  capacity_fn: Optional[Callable[[int], float]] = None) -> None:
         if capacity < 0:
             raise ValueError(f"negative capacity {capacity}")
-        self.sim = sim
+        super().__init__(sim)
         self.name = name
         self._capacity = float(capacity)
         self.capacity_fn = capacity_fn
-        self.flows: List[Flow] = []
-        self._last_advance = sim.now
-        self._timer_token = 0
-        self._realloc_pending = False
         # Cached ascending-cap processing order for fair_share, valid
-        # while the flow set is unchanged (None = recompute).
+        # while the flow set is unchanged (None = recompute), mirrored as
+        # float64/int64 arrays (and their raw addresses) for the C
+        # fair-share kernel.
         self._order: Optional[List[int]] = None
         self._caps_cache: List[float] = []
-        # Columnar remaining/rate parallel to ``self.flows``: the
-        # authoritative per-flow counters live here so the
-        # drain is one kernel call; Flow objects mirror at completion
-        # and :meth:`advance` boundaries, like Fabric's NetFlow.
-        self._a_rem = np.empty(16)
-        self._a_rate = np.empty(16)
-        self._fin_buf = np.empty(16, dtype=np.int64)
-        # Sorted-cap order mirrored as int64/float64 arrays for the C
-        # fair-share kernel, rebuilt with the order cache.
         self._caps_arr = np.empty(0)
         self._order_arr = np.empty(0, dtype=np.int64)
-        # Raw data addresses for the kernels: computing arr.ctypes.data
-        # allocates a wrapper object per access, so the hot path caches
-        # the integers (refreshed whenever a buffer is reallocated).
-        self._refresh_ptrs()
         self._p_caps = 0
         self._p_order = 0
-        # Epoch-cached load aggregates (valid while no flow event has
-        # mutated the columns): total remaining bytes, total rate, and
-        # the relative horizon to the earliest completion.
-        self._sums_valid = False
+        # Load aggregates (total remaining bytes, total rate, relative
+        # horizon to the earliest completion), valid while
+        # ``_sums_at == _last_advance``: every drain moves
+        # ``_last_advance``, and admissions and reallocations reset
+        # ``_sums_at``.
+        self._sums_at: Optional[float] = None
         self._rem_sum = 0.0
         self._rate_sum = 0.0
         self._drain_horizon = math.inf
-        self.bytes_completed = 0.0
 
     # -- public API -------------------------------------------------------
     @property
@@ -159,10 +126,6 @@ class FluidPipe:
         if self.capacity_fn is not None:
             return max(0.0, float(self.capacity_fn(len(self.flows))))
         return self._capacity
-
-    @property
-    def n_active(self) -> int:
-        return len(self.flows)
 
     @property
     def load(self) -> float:
@@ -178,21 +141,14 @@ class FluidPipe:
         the horizon — where per-flow clamping matters — falls back to
         one vectorized pass.
         """
-        n = len(self.flows)
-        if n == 0:
+        if not self.flows:
             return 0.0
-        if not self._sums_valid:
-            rem = self._a_rem[:n]
-            rate = self._a_rate[:n]
-            self._rem_sum = float(np.add.reduce(rem))
-            self._rate_sum = float(np.add.reduce(rate))
-            positive = rate > 0.0
-            if positive.any():
-                self._drain_horizon = float(
-                    (rem[positive] / rate[positive]).min())
-            else:
-                self._drain_horizon = math.inf
-            self._sums_valid = True
+        tab = self._tab
+        if self._sums_at != self._last_advance:
+            self._rem_sum = float(np.add.reduce(tab.col("remaining")))
+            self._rate_sum = float(np.add.reduce(tab.col("rate")))
+            self._drain_horizon = tab.horizon()
+            self._sums_at = self._last_advance
         dt = self.sim.now - self._last_advance
         if dt <= 0:
             return self._rem_sum
@@ -201,7 +157,7 @@ class FluidPipe:
             # clamp sum collapses to the cached linear form.
             return self._rem_sum - self._rate_sum * dt
         return float(np.maximum(
-            self._a_rem[:n] - self._a_rate[:n] * dt, 0.0).sum())
+            tab.col("remaining") - tab.col("rate") * dt, 0.0).sum())
 
     def advance(self) -> None:
         """Apply current rates up to the present, firing any completions.
@@ -214,8 +170,9 @@ class FluidPipe:
         # Mirror the authoritative columns back onto the Flow objects
         # for the observer (the implicit advances leave the objects at
         # their last completion-boundary values).
-        n = len(self.flows)
-        for f, r, rt in zip(self.flows, self._a_rem[:n], self._a_rate[:n]):
+        tab = self._tab
+        for f, r, rt in zip(self.flows, tab.col("remaining"),
+                            tab.col("rate")):
             f.remaining = float(r)
             f.rate = float(rt)
 
@@ -240,147 +197,46 @@ class FluidPipe:
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
         done = Event(self.sim, name=f"xfer:{self.name}")
-        flow = Flow(self, nbytes, cap, done, tag)
+        flow = Flow(nbytes, cap, done, self.sim.now, tag)
         if nbytes == 0:
             done.succeed(flow)
             return done
-        self._advance()
-        n = len(self.flows)
-        if n == self._a_rem.shape[0]:
-            self._grow()
-        self._a_rem[n] = flow.remaining
-        self._a_rate[n] = 0.0
-        self._sums_valid = False
-        self.flows.append(flow)
+        self._admit(flow)
         self._order = None
-        self._schedule_realloc()
+        self._sums_at = None
         return done
 
-    def _grow(self) -> None:
-        new_cap = self._a_rem.shape[0] * 2
-        for name in ("_a_rem", "_a_rate"):
-            old = getattr(self, name)
-            bigger = np.empty(new_cap, dtype=old.dtype)
-            bigger[:old.shape[0]] = old
-            setattr(self, name, bigger)
-        self._fin_buf = np.empty(new_cap, dtype=np.int64)
-        self._refresh_ptrs()
-
-    def _refresh_ptrs(self) -> None:
-        self._p_rem = self._a_rem.ctypes.data
-        self._p_rate = self._a_rate.ctypes.data
-        self._p_fin = self._fin_buf.ctypes.data
-
-    # -- internals ---------------------------------------------------------
-    def _advance(self) -> None:
-        """Apply current rates over the elapsed interval."""
-        now = self.sim.now
-        dt = now - self._last_advance
-        self._last_advance = now
-        if dt <= 0 or not self.flows:
-            return
-        # One decrement-and-compact pass over the columns: the C kernel
-        # (or the vectorized NumPy fallback) replaces the former
-        # per-flow Python loop; both produce bit-identical counters and
-        # the same ascending finished order (see _fastdrain.c).
-        flows = self.flows
-        n = len(flows)
-        self._sums_valid = False
-        drain = fastdrain.RAW_DRAIN
-        k = drain(n, dt, self._p_rem, self._p_rate,
-                  self._p_fin) if drain is not None else -1
-        if k == 0:
-            return
-        if k > 0:
-            fin_list = self._fin_buf[:k].tolist()
-        else:
-            rem = self._a_rem[:n]
-            rem -= self._a_rate[:n] * dt
-            fin_idx = np.flatnonzero(rem <= 1e-6)
-            if fin_idx.size == 0:
-                return
-            fin_list = fin_idx.tolist()
-            if fin_idx.size < n:
-                keep = np.ones(n, dtype=bool)
-                keep[fin_idx] = False
-                survivors = np.flatnonzero(keep)
-                m = n - fin_idx.size
-                self._a_rem[:m] = rem[survivors]
-                self._a_rate[:m] = self._a_rate[:n][survivors]
-        finished = [flows[i] for i in fin_list]
-        if len(fin_list) == n:
-            flows.clear()
-        else:
-            for i in reversed(fin_list):
-                del flows[i]
+    # -- FlowSet policy -----------------------------------------------------
+    def _finished(self, finished: Sequence[Flow]) -> None:
         self._order = None
         for f in finished:
-            f.remaining = 0.0
-            self.bytes_completed += f.size
             f.done.succeed(f)
 
-    def _schedule_realloc(self) -> None:
-        """Coalesce all same-timestamp flow changes into one allocation.
-
-        Chained transfers complete and immediately issue the next request
-        at the same simulated instant; recomputing rates once per instant
-        instead of once per change halves the allocator load (and calls
-        ``capacity_fn`` once, with the settled flow count).
-        """
-        if self._realloc_pending:
-            return
-        self._realloc_pending = True
-        self.sim.schedule_callback(0.0, self._do_realloc)
-
-    def _do_realloc(self) -> None:
-        self._realloc_pending = False
-        self._advance()   # collect completions from late same-time changes
-        self._reallocate()
-
-    def _reallocate(self) -> None:
-        """Recompute fair-share rates and reschedule the completion timer."""
+    def _allocate(self) -> float:
+        """Fair-share rates over the cached cap order; returns the horizon."""
         n = len(self.flows)
-        horizon = math.inf
-        if n:
-            if self._order is None:
-                caps = [f.cap for f in self.flows]
-                order = sorted(range(n), key=caps.__getitem__)
-                self._caps_cache = caps
-                self._order = order
-                self._caps_arr = np.array(caps)
-                self._order_arr = np.array(order, dtype=np.int64)
-                self._p_caps = self._caps_arr.ctypes.data
-                self._p_order = self._order_arr.ctypes.data
-            self._sums_valid = False
-            fs = fastdrain.RAW_FAIR
-            if fs is not None:
-                # Fused C fair-share + horizon over the columns; Flow
-                # objects do not mirror per event (advance() syncs them
-                # at observer boundaries).
-                horizon = fs(self.capacity, n, self._p_caps,
-                             self._p_order, self._p_rem, self._p_rate)
-            else:
-                rates = fair_share(self.capacity, self._caps_cache,
-                                   self._order)
-                self._a_rate[:n] = rates
-                rate = self._a_rate[:n]
-                positive = rate > 0
-                if positive.any():
-                    # Same per-flow divisions as the C kernel; min is
-                    # order-independent at the bit level.
-                    horizon = float(
-                        (self._a_rem[:n][positive] / rate[positive]).min())
-        self._timer_token += 1
-        token = self._timer_token
-        if math.isfinite(horizon):
-            # Clamp so now+horizon strictly advances the clock even for
-            # near-finished flows (otherwise a sub-ULP horizon respins the
-            # timer at the same timestamp forever).
-            self.sim.schedule_callback(max(horizon, 1e-9),
-                                       self._on_timer, token)
-
-    def _on_timer(self, token: int) -> None:
-        if token != self._timer_token:
-            return  # stale timer; a newer reallocation superseded it
-        self._advance()
-        self._schedule_realloc()
+        if not n:
+            return math.inf
+        if self._order is None:
+            caps = [f.cap for f in self.flows]
+            order = sorted(range(n), key=caps.__getitem__)
+            self._caps_cache = caps
+            self._order = order
+            self._caps_arr = np.array(caps)
+            self._order_arr = np.array(order, dtype=np.int64)
+            self._p_caps = self._caps_arr.ctypes.data
+            self._p_order = self._order_arr.ctypes.data
+        self._sums_at = None
+        tab = self._tab
+        fs = fastdrain.RAW_FAIR
+        if fs is not None:
+            # Fused C fair-share + horizon over the columns; Flow
+            # objects do not mirror per event (advance() syncs them
+            # at observer boundaries).
+            return fs(self.capacity, n, self._p_caps, self._p_order,
+                      tab.p_rem, tab.p_rate)
+        tab.col("rate")[:] = fair_share(self.capacity, self._caps_cache,
+                                        self._order)
+        # Same per-flow divisions as the C kernel; min is
+        # order-independent at the bit level.
+        return tab.horizon()

@@ -1,5 +1,7 @@
 """Tests for cluster specs, nodes, and assembly."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,29 @@ class TestSpecs:
         with pytest.raises(ValueError, match="dirty throttle"):
             NodeSpec(page_cache_bytes=4 * GB,
                      page_cache_dirty_bytes=7 * GB)
+
+    # Each of these used to pass construction and fail mid-simulation:
+    # a negative latency in the fetch phase ("negative delay") or at the
+    # first Lustre open ("negative timeout delay"), a non-positive core
+    # capacity as a SimulationDeadlock, and a negative revoke latency
+    # not at all.
+    @pytest.mark.parametrize("field,value,message", [
+        ("net_latency", -1e-3, "net_latency must be >= 0"),
+        ("bisection_bw", 0.0, "bisection_bw must be positive"),
+        ("bisection_bw", -5.0, "bisection_bw must be positive"),
+        ("lustre_open_latency", -1.0, "lustre_open_latency must be >= 0"),
+        ("lustre_lock_revoke_latency", -1.0,
+         "lustre_lock_revoke_latency must be >= 0"),
+    ])
+    def test_invalid_timing_rejected_at_construction(self, field, value,
+                                                     message):
+        with pytest.raises(ValueError, match=message):
+            replace(hyperion(4), **{field: value})
+
+    def test_zero_latencies_and_blocking_core_accepted(self):
+        spec = replace(hyperion(4), net_latency=0.0, lustre_open_latency=0.0,
+                       lustre_lock_revoke_latency=0.0, bisection_bw=8 * GB)
+        assert spec.bisection_bw == 8 * GB
 
 
 class TestSpeedModels:

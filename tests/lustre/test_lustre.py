@@ -140,6 +140,11 @@ class TestReadPath:
         with pytest.raises(ValueError):
             fs.read(-1, MB, "f")
 
+    @pytest.mark.parametrize("field", ["open_latency", "revoke_latency"])
+    def test_negative_latency_rejected(self, sim, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+            make_fs(sim, **{field: -1.0})
+
 
 class TestClientCache:
     def test_clean_cache_evicts_lru(self, sim):

@@ -55,6 +55,15 @@ class TestBasicTransfers:
         with pytest.raises(ValueError):
             fab.transfer(0, 1, -10)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"latency": -1e-3}, "latency must be >= 0"),
+        ({"bisection_bw": 0.0}, "bisection_bw must be positive"),
+        ({"bisection_bw": -5.0}, "bisection_bw must be positive"),
+    ])
+    def test_invalid_timing_rejected(self, sim, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            Fabric(sim, n_nodes=4, **kwargs)
+
 
 class TestContention:
     def test_incast_shares_receiver_nic(self, sim):

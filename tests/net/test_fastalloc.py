@@ -3,7 +3,9 @@
 All three implementations of the progressive-filling max–min allocator
 must produce byte-identical results: the compiled kernel, the NumPy
 fast path, and the full-width textbook loop kept as
-:class:`tests.oracles.ReferenceFabric`.  These tests drive a randomized
+:class:`tests.oracles.ReferenceFabric`.  The NumPy runs also switch the
+shared drain to its NumPy branch, so C (allocator + drain) == NumPy ==
+oracle covers both drain branches on the fabric.  These tests drive a randomized
 fabric workload under each implementation and compare completion times,
 mid-simulation per-flow rates, and per-node utilization accumulators
 with exact equality — no tolerances.  ``REPRO_NO_CKERNEL=1`` gating is
@@ -21,7 +23,7 @@ import pytest
 
 from repro.net import fastalloc
 from repro.net.fabric import Fabric
-from repro.sim import Simulator
+from repro.sim import Simulator, fastdrain
 from tests.oracles import ReferenceFabric, ReferenceSimulator
 
 
@@ -61,9 +63,15 @@ def _drive(n_nodes=8, n_flows=40, seed=1234, fabric_cls=Fabric,
     return times, samples
 
 
+def _numpy_mode(monkeypatch):
+    """Both fabric kernels off: the NumPy allocator and the NumPy drain."""
+    monkeypatch.setattr(fastalloc, "AVAILABLE", False)
+    monkeypatch.setattr(fastdrain, "RAW_DRAIN", None)
+
+
 class TestThreeWayParity:
     def test_numpy_matches_reference(self, monkeypatch):
-        monkeypatch.setattr(fastalloc, "AVAILABLE", False)
+        _numpy_mode(monkeypatch)
         numpy_out = _drive()
         reference_out = _drive(fabric_cls=ReferenceFabric,
                                sim_cls=ReferenceSimulator)
@@ -74,7 +82,7 @@ class TestThreeWayParity:
                         reason="C kernel unavailable on this machine")
     def test_ckernel_matches_numpy(self, monkeypatch):
         kernel_out = _drive()
-        monkeypatch.setattr(fastalloc, "AVAILABLE", False)
+        _numpy_mode(monkeypatch)
         numpy_out = _drive()
         assert kernel_out == numpy_out
 

@@ -84,7 +84,7 @@ class ReferenceFluidPipe(FluidPipe):
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
         done = Event(self.sim, name=f"xfer:{self.name}")
-        flow = Flow(self, nbytes, cap, done, tag)
+        flow = Flow(nbytes, cap, done, self.sim.now, tag)
         if nbytes == 0:
             done.succeed(flow)
             return done

@@ -1,9 +1,10 @@
 """C drain / fair-share kernel parity (hypothesis-driven).
 
-The perf claim is that three implementations of the fluid-pipe inner
+The perf claim is that three implementations of the fluid-flow inner
 loops — the per-flow Python loop kept as
 :class:`tests.oracles.ReferenceFluidPipe`, the vectorized NumPy
-fallback, and the C kernel — are **bit-for-bit** interchangeable.
+fallback of :meth:`FlowTable.drain`, and the C kernel — are
+**bit-for-bit** interchangeable.
 These tests drive all of them against a transparent Python model with
 adversarial rates, sizes, and near-threshold epsilons, and compare with
 exact equality — never tolerances.  ``repro bench --check`` gates both
@@ -11,6 +12,7 @@ kernel modes on the same golden fingerprints of the macro scenarios.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.sim import FluidPipe, Simulator
 from repro.sim import fastdrain
+from repro.sim.flowarray import FlowTable
 from repro.sim.fluid import fair_share
 from tests.oracles import ReferenceFluidPipe, ReferenceSimulator
 
@@ -45,45 +48,46 @@ def _model_drain(remaining, rate, dt):
     return finished, surv_rem, surv_rate
 
 
+def _check_table_drain(flows, dt):
+    """Run :meth:`FlowTable.drain` over a table with extra int64 and
+    float64 columns and compare it with the model: finished indices,
+    survivor ``remaining``/``rate`` bitwise, extras in survivor order."""
+    tab = FlowTable(key=np.int64, weight=np.float64)
+    for i, (size, rate) in enumerate(flows):
+        tab.append(size, rate, 1000 + i, size * 0.5)
+    finished = tab.drain(dt)
+    model_fin, surv_rem, surv_rate = _model_drain(
+        [f[0] for f in flows], [f[1] for f in flows], dt)
+    assert finished == model_fin                     # ascending, exact
+    assert tab.n == len(flows) - len(finished)
+    assert tab.col("remaining").tobytes() == np.array(
+        surv_rem, dtype=np.float64).tobytes()        # bitwise survivors
+    assert tab.col("rate").tobytes() == np.array(
+        surv_rate, dtype=np.float64).tobytes()
+    survivors = [i for i in range(len(flows)) if i not in set(model_fin)]
+    assert tab.col("key").tolist() == [1000 + i for i in survivors]
+    assert tab.col("weight").tobytes() == np.array(
+        [flows[i][0] * 0.5 for i in survivors], dtype=np.float64).tobytes()
+
+
 class TestDrainParity:
+    """The shared drain (:meth:`FlowTable.drain`) in both kernel branches."""
+
     @pytest.mark.skipif(not fastdrain.AVAILABLE,
                         reason="C kernel unavailable on this machine")
     @given(st.lists(st.tuples(_sizes, _rates), min_size=0, max_size=64),
            _dts)
     @settings(max_examples=200, deadline=None)
     def test_c_kernel_matches_python_model(self, flows, dt):
-        rem = np.array([f[0] for f in flows], dtype=np.float64)
-        rate = np.array([f[1] for f in flows], dtype=np.float64)
-        fin = np.empty(max(len(flows), 1), dtype=np.int64)
-        k = fastdrain.drain(len(flows), dt, rem, rate, fin)
-        finished, surv_rem, surv_rate = _model_drain(
-            [f[0] for f in flows], [f[1] for f in flows], dt)
-        assert k == len(finished)
-        assert fin[:k].tolist() == finished          # ascending, exact
-        w = len(flows) - k
-        assert rem[:w].tobytes() == np.array(
-            surv_rem, dtype=np.float64).tobytes()    # bitwise survivors
-        assert rate[:w].tobytes() == np.array(
-            surv_rate, dtype=np.float64).tobytes()
+        assert fastdrain.RAW_DRAIN is not None
+        _check_table_drain(flows, dt)
 
     @given(st.lists(st.tuples(_sizes, _rates), min_size=0, max_size=64),
            _dts)
     @settings(max_examples=200, deadline=None)
     def test_numpy_fallback_matches_python_model(self, flows, dt):
-        # The expression FluidPipe._advance uses when RAW_DRAIN is None.
-        rem = np.array([f[0] for f in flows], dtype=np.float64)
-        rate = np.array([f[1] for f in flows], dtype=np.float64)
-        rem2 = rem - rate * dt
-        fin_idx = np.flatnonzero(rem2 <= 1e-6)
-        keep = np.ones(len(flows), dtype=bool)
-        keep[fin_idx] = False
-        finished, surv_rem, surv_rate = _model_drain(
-            [f[0] for f in flows], [f[1] for f in flows], dt)
-        assert fin_idx.tolist() == finished
-        assert rem2[keep].tobytes() == np.array(
-            surv_rem, dtype=np.float64).tobytes()
-        assert rate[keep].tobytes() == np.array(
-            surv_rate, dtype=np.float64).tobytes()
+        with mock.patch.object(fastdrain, "RAW_DRAIN", None):
+            _check_table_drain(flows, dt)
 
 
 class TestFairShareParity:
@@ -106,11 +110,13 @@ class TestFairShareParity:
         for r, rem in zip(expected, remaining):
             if r > 0:
                 horizon_py = min(horizon_py, rem / r)
+        caps_arr = np.array(caps, dtype=np.float64)
+        order_arr = np.array(order, dtype=np.int64)
+        rem_arr = np.array(remaining, dtype=np.float64)
         rates_out = np.empty(n, dtype=np.float64)
-        horizon_c = fastdrain.fair_share_into(
-            capacity, n, np.array(caps, dtype=np.float64),
-            np.array(order, dtype=np.int64),
-            np.array(remaining, dtype=np.float64), rates_out)
+        horizon_c = fastdrain.RAW_FAIR(
+            capacity, n, caps_arr.ctypes.data, order_arr.ctypes.data,
+            rem_arr.ctypes.data, rates_out.ctypes.data)
         assert rates_out.tobytes() == np.array(
             expected, dtype=np.float64).tobytes()    # bitwise rates
         assert horizon_c == horizon_py               # inf == inf is fine
