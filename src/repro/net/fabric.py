@@ -10,11 +10,9 @@ frozen and filling continues with the rest.
 
 This is the standard fidelity level for datacenter-scale simulation:
 packets are abstracted away, but contention, fair sharing, stragglers and
-incast behaviour are preserved.  The allocator is fully vectorised with
-NumPy — shuffles put thousands of concurrent flows on the fabric, and a
-rate recomputation happens at every flow arrival and departure (see the
-profiling guidance in the repository's HPC coding guides: vectorise the
-measured hotspot, nothing else).
+incast behaviour are preserved.  Shuffles put thousands of concurrent
+flows on the fabric, and a rate recomputation happens at every flow
+arrival and departure, so the reallocation is the measured hot spot.
 
 Hot-path notes (see DESIGN.md §8): the fabric is a
 :class:`~repro.sim.flowarray.FlowSet`, the event skeleton it shares
@@ -22,20 +20,24 @@ with :class:`~repro.sim.fluid.FluidPipe`.  Flow state lives in a
 :class:`~repro.sim.flowarray.FlowTable` — amortized-doubling
 preallocated columns behind a live-length cursor, with ``src``/``dst``/
 ``cap`` beside the shared ``remaining``/``rate`` — so an arrival is an
-O(1) write instead of five ``np.append`` full-array copies, and a
-departure is the shared drain (the C kernel when it loaded) plus an
-order-preserving compaction.  The fabric adds only its policy:
-progressive filling, completion latency, and per-node tx/rx rate
-accumulators maintained at reallocation so :meth:`Fabric.utilization`
-is an O(1) read.  The pre-optimization
-allocator survives only as a test oracle (``tests/oracles.py``);
-``repro bench --check`` gates on committed fingerprint digests.
+O(1) write, and a departure is the shared drain (one C call that also
+compacts every column, when the kernel loaded).  The fabric adds only
+its policy: progressive filling, completion latency, and per-node
+utilization.  Each reallocation is one native call
+(:mod:`repro.net.fastalloc`: endpoint compression, progressive filling
+and completion horizon over fabric-owned scratch), with a NumPy
+fallback.  :meth:`Fabric.utilization` is computed on read — two
+bincounts over the live table, cached until the next allocation or
+completion — because only telemetry probes and tests read it.  The
+pre-optimization allocator survives only as a test oracle
+(``tests/oracles.py``); ``repro bench --check`` gates on committed
+fingerprint digests.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,16 +51,15 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Fabric", "NetFlow"]
 
 GB = 1024.0 ** 3
-_EPS = 1e-9
-#: Above this many fabric nodes the allocator compresses the channel set
-#: to the endpoints that actually carry flows (np.unique + searchsorted)
-#: and the per-node rate refresh scatters over touched nodes only, so a
+#: Above this many fabric nodes the NumPy allocator compresses the
+#: channel set to the endpoints that actually carry flows, so a
 #: mostly-idle 10,000-node fabric pays O(active), not O(n_nodes), per
-#: flow event.  Idle channels are exact no-ops in the water-level loop
-#: (head stays at nic_bw: +inf in the unmasked division falls out of the
-#: min, count 0 makes the decrement a no-op, and nic_bw never crosses
-#: the 1e-7*nic_bw saturation tolerance), so dropping them is
-#: bit-identical — below the threshold the dense form is cheaper.
+#: flow event (the C kernel always compresses).  Idle channels are
+#: exact no-ops in the water-level loop (head stays at nic_bw: +inf in
+#: the unmasked division falls out of the min, count 0 makes the
+#: decrement a no-op, and nic_bw never crosses the 1e-7*nic_bw
+#: saturation tolerance), so dropping them is bit-identical — below the
+#: threshold the dense form is cheaper.
 _COMPACT_NODES = 256
 
 
@@ -125,13 +126,19 @@ class Fabric(FlowSet):
         #: negligible load but would otherwise trigger a global rate
         #: recomputation each (control messages, tiny shuffle slices).
         self.small_flow_bytes = float(small_flow_bytes)
-        # Per-node rate accumulators, refreshed at every reallocation and
-        # compaction, so ``utilization`` is an O(1) read.
-        self._tx_rate = np.zeros(n_nodes)
-        self._rx_rate = np.zeros(n_nodes)
-        # Allocator scratch over the 2*n_nodes NIC channels (tx slots
-        # 0..n-1, rx slots n..2n-1), reused across reallocations so the
-        # per-round cost is ufunc dispatch, not allocation.
+        #: Per-node (tx, rx) byte rates, computed on the first
+        #: :meth:`utilization` read after the rates change.
+        self._util: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._flow_seq = 0
+        # C kernel scratch, owned here and reused by every call so no
+        # call allocates: the channel map (all -1 between calls) and
+        # amortized-doubling per-flow buffers, with cached raw addresses.
+        self._chmap = np.full(2 * n_nodes, -1, dtype=np.int64)
+        self._p_chmap = self._chmap.ctypes.data
+        self._grow_scratch(64)
+        # NumPy fallback scratch over the 2*n_nodes NIC channels (tx
+        # slots 0..n-1, rx slots n..2n-1), reused across reallocations so
+        # the per-round cost is ufunc dispatch, not allocation.
         # On giant fabrics (> _COMPACT_NODES) the allocator runs over the
         # compressed active-endpoint set, so scratch starts small and
         # grows to the observed active width instead of 2 * n_nodes.
@@ -141,9 +148,6 @@ class Fabric(FlowSet):
         self._ab_tmp = np.empty(width)
         self._ab_sat = np.empty(width, dtype=bool)
         self._ab_ones = np.ones(64)
-        #: Nodes whose tx/rx accumulators are currently nonzero-scattered
-        #: (compact refresh path): the next refresh zeroes exactly these.
-        self._touched = np.empty(0, dtype=np.int64)
         # Compression scratch (giant fabrics): a node-presence bitmap
         # plus an old-id -> compressed-id lookup table.  flatnonzero on
         # the bitmap yields the same ascending unique endpoint set as
@@ -154,7 +158,14 @@ class Fabric(FlowSet):
             self._present = np.zeros(n_nodes, dtype=bool)
             self._inv = np.empty(n_nodes, dtype=np.int64)
             self._iota = np.arange(n_nodes, dtype=np.int64)
-        self._flow_seq = 0
+
+    def _grow_scratch(self, rows: int) -> None:
+        """Size the kernel's per-flow scratch for ``rows`` flows."""
+        self._scratch_rows = rows
+        self._iscr = np.empty(7 * rows, dtype=np.int64)
+        self._dscr = np.empty(2 * rows)
+        self._p_iscr = self._iscr.ctypes.data
+        self._p_dscr = self._dscr.ctypes.data
 
     # -- public API -----------------------------------------------------------
     def transfer(self, src: int, dst: int, nbytes: float,
@@ -194,9 +205,21 @@ class Fabric(FlowSet):
         flow.done.succeed(flow)
 
     def utilization(self, node: int) -> Dict[str, float]:
-        """Current tx/rx byte rates at ``node`` (an O(1) accumulator read)."""
-        return {"tx": float(self._tx_rate[node]),
-                "rx": float(self._rx_rate[node])}
+        """Current tx/rx byte rates at ``node``.
+
+        The per-node sums are bincounts over the live flow table, cached
+        until the next allocation or completion.  An admission between
+        those adds a zero-rate row, which leaves every sum bitwise
+        unchanged.
+        """
+        util = self._util
+        if util is None:
+            tab = self._tab
+            rate = tab.col("rate")
+            util = self._util = (
+                np.bincount(tab.col("src"), rate, self.n_nodes),
+                np.bincount(tab.col("dst"), rate, self.n_nodes))
+        return {"tx": float(util[0][node]), "rx": float(util[1][node])}
 
     # -- FlowSet policy --------------------------------------------------------
     def _finished(self, finished: Sequence[NetFlow]) -> None:
@@ -211,65 +234,30 @@ class Fabric(FlowSet):
                                nbytes=f.size)
             # Tail latency: the last byte still needs to propagate.
             schedule(latency, f.done.succeed, f)
-        self._refresh_node_rates()
+        self._util = None
 
     def _allocate(self) -> float:
-        self._assign_rates()
-        return self._tab.horizon()
-
-    def _zero_node_rates(self) -> None:
-        """Clear the accumulators, touching only scattered-to nodes on
-        giant fabrics."""
-        if self.n_nodes > _COMPACT_NODES:
-            t = self._touched
-            if t.size:
-                self._tx_rate[t] = 0.0
-                self._rx_rate[t] = 0.0
-                self._touched = t[:0]
-        else:
-            self._tx_rate[:] = 0.0
-            self._rx_rate[:] = 0.0
-
-    def _refresh_node_rates(self, u: Optional[np.ndarray] = None,
-                            cs: Optional[np.ndarray] = None,
-                            cd: Optional[np.ndarray] = None) -> None:
-        """Rebuild the O(1) per-node tx/rx rate accumulators.
-
-        On fabrics above :data:`_COMPACT_NODES` the weighted bincounts
-        run over the compressed endpoint set (``u`` ascending active
-        nodes, ``cs``/``cd`` the flows' positions in it — recomputed
-        here when the caller didn't already have them) and scatter to
-        exactly those nodes, zeroing only the previously-touched set:
-        per-flow-event cost is O(active endpoints), never O(n_nodes).
-        np.bincount sums weights sequentially in input order, so the
-        compact sums are bitwise the dense per-node sums.
-        """
+        """Rates and completion horizon in one kernel call (compression,
+        progressive filling and the horizon scan), else the NumPy path."""
+        self._util = None
         tab = self._tab
-        if tab.n == 0:
-            self._zero_node_rates()
-            return
-        rates = tab.col("rate")
-        if self.n_nodes > _COMPACT_NODES:
-            if u is None:
-                u, cs, cd = self._compress_endpoints(tab.col("src"),
-                                                     tab.col("dst"))
-            t = self._touched
-            if t.size:
-                self._tx_rate[t] = 0.0
-                self._rx_rate[t] = 0.0
-            self._tx_rate[u] = np.bincount(cs, weights=rates,
-                                           minlength=u.size)
-            self._rx_rate[u] = np.bincount(cd, weights=rates,
-                                           minlength=u.size)
-            self._touched = u
-            return
-        self._tx_rate = np.bincount(tab.col("src"), weights=rates,
-                                    minlength=self.n_nodes)
-        self._rx_rate = np.bincount(tab.col("dst"), weights=rates,
-                                    minlength=self.n_nodes)
+        kernel = fastalloc.RAW_ALLOCATE
+        if kernel is None:
+            self._assign_rates()
+            return tab.horizon()
+        m = tab.n
+        if m > self._scratch_rows:
+            self._grow_scratch(2 * m)
+        addr = tab.addr
+        bisection = self.bisection_bw
+        return kernel(m, addr["src"], addr["dst"], addr["cap"],
+                      addr["remaining"], addr["rate"], self.n_nodes,
+                      self.nic_bw, 0.0 if bisection is None else bisection,
+                      bisection is not None, self._p_chmap, self._p_iscr,
+                      self._p_dscr)
 
     def _assign_rates(self) -> None:
-        """Byte-identical progressive filling over a compressed active set.
+        """NumPy fallback: progressive filling over a compressed active set.
 
         Same algorithm and same float sequences as the textbook
         full-width progressive filling (kept as the oracle
@@ -294,36 +282,27 @@ class Fabric(FlowSet):
         Rates are scattered to original flow positions through ``idx``,
         so the published rate vector matches the reference elementwise.
 
-        When the optional C kernel (:mod:`repro.net.fastalloc`) compiled,
-        the whole multi-round loop runs in one native call — same
-        arithmetic, same bits — and this NumPy loop is the fallback.
+        When the C kernel (:mod:`repro.net.fastalloc`) compiled, the
+        whole reallocation runs in one native call — same arithmetic,
+        same bits — and this NumPy loop is the fallback.
         """
         tab = self._tab
-        m = tab.n
-        if m == 0:
-            self._zero_node_rates()
+        if tab.n == 0:
             return
-        rate = tab.col("rate")
         src = tab.col("src")
         dst = tab.col("dst")
         if self.n_nodes > _COMPACT_NODES:
             # Compress the channel set to the endpoints actually carrying
-            # flows (bit-identical: see _COMPACT_NODES).  The C kernel
-            # and the NumPy loop both then allocate and iterate over
-            # O(active) channels regardless of fabric size.
-            u, cs, cd = self._compress_endpoints(src, dst)
-            n_ch = u.size
+            # flows (bit-identical: see _COMPACT_NODES), so the loop
+            # allocates and iterates over O(active) channels regardless
+            # of fabric size.
+            n_ch, src, dst = self._compress_endpoints(src, dst)
         else:
-            u = None
-            cs, cd, n_ch = src, dst, self.n_nodes
-        if not (fastalloc.AVAILABLE and fastalloc.assign_rates(
-                n_ch, cs, cd, tab.col("cap"), self.nic_bw,
-                self.bisection_bw, rate)):
-            rate[:] = self._assign_rates_numpy(n_ch, cs, cd)
-        self._refresh_node_rates(u, cs, cd)
+            n_ch = self.n_nodes
+        tab.col("rate")[:] = self._assign_rates_numpy(n_ch, src, dst)
 
     def _compress_endpoints(self, src: np.ndarray, dst: np.ndarray):
-        """Active endpoint set + compressed flow indices, in O(n + m)."""
+        """Active endpoint count + compressed flow indices, in O(n + m)."""
         present = self._present
         present[src] = True
         present[dst] = True
@@ -331,7 +310,7 @@ class Fabric(FlowSet):
         present[u] = False  # reset scratch for the next call
         inv = self._inv
         inv[u] = self._iota[:u.size]
-        return u, inv[src], inv[dst]
+        return u.size, inv[src], inv[dst]
 
     def _assign_rates_numpy(self, n: int, src: np.ndarray,
                             dst: np.ndarray) -> np.ndarray:

@@ -1,64 +1,51 @@
-"""Optional C kernel for the fabric's progressive-filling allocator.
+"""Optional C kernel for the fabric's per-event reallocation.
 
-The max–min allocator is the simulator's measured hot spot: tens of
-thousands of reallocations, each running ~a dozen water-filling rounds,
-each round a handful of small-array NumPy calls whose cost is ufunc
-dispatch rather than data.  This module builds and loads
-``_fastalloc.c`` through :mod:`repro.sim.ckernel` and exposes
-:func:`assign_rates`.
+Every fabric flow event recomputes max–min fair rates for all live flows
+and the time until the earliest completion.  At shuffle scale that is
+tens of thousands of reallocations over thousands of flows, and in
+NumPy each costs endpoint compression, a dozen small-array ufunc calls
+per water-filling round and a separate horizon pass — dispatch, not
+data.  This module builds and loads ``_fastalloc.c`` through
+:mod:`repro.sim.ckernel` and exposes the pre-bound entry point
+:data:`RAW_ALLOCATE`, which does all three in one native call over the
+flow table's columns and caller-owned scratch (the
+:class:`~repro.net.fabric.Fabric` keeps it, so no call allocates).
 
-The kernel is bit-for-bit equivalent to the NumPy allocator — see the
+The kernel is bit-for-bit equivalent to the NumPy fallback — see the
 header comment in ``_fastalloc.c`` and DESIGN.md §8 — and
 ``repro bench --check`` gates both kernel modes on the same golden
 fingerprints.
 
 No C compiler, a failed build, or ``REPRO_NO_CKERNEL=1`` in the
-environment leaves :data:`AVAILABLE` false and the fabric uses its
-pure-NumPy fast path instead.
+environment leaves :data:`AVAILABLE` false and :data:`RAW_ALLOCATE`
+``None``; the fabric then takes its NumPy path.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
-from typing import Optional
-
-import numpy as np
 
 from repro.sim import ckernel
 
-__all__ = ["AVAILABLE", "assign_rates"]
+__all__ = ["AVAILABLE", "RAW_ALLOCATE"]
 
+_P = ctypes.c_void_p
 _LIB = ckernel.load(
     os.path.join(os.path.dirname(__file__), "_fastalloc.c"),
-    {"repro_assign_rates": (
-        ctypes.c_int64,
-        [ctypes.c_int64, ctypes.c_int64,     # n_nodes, m
-         ctypes.c_void_p, ctypes.c_void_p,   # src, dst
-         ctypes.c_void_p,                    # caps
-         ctypes.c_double, ctypes.c_double,   # nic_bw, bisection
+    {"repro_fabric_allocate": (
+        ctypes.c_double,                     # horizon
+        [ctypes.c_int64,                     # m
+         _P, _P, _P, _P, _P,                 # src, dst, caps, remaining, rate
+         ctypes.c_int64,                     # n_nodes
+         ctypes.c_double, ctypes.c_double,   # nic_bw, bisection_bw
          ctypes.c_int64,                     # has_core
-         ctypes.c_void_p])})                 # out_rates
+         _P, _P, _P])})                      # chmap, iscr, dscr
 
 #: True when the compiled kernel is loaded and usable.
 AVAILABLE = _LIB is not None
 
-
-def assign_rates(n_nodes: int, src: np.ndarray, dst: np.ndarray,
-                 caps: np.ndarray, nic_bw: float,
-                 bisection_bw: Optional[float],
-                 out_rates: np.ndarray) -> bool:
-    """Run the C allocator; returns False if the caller must fall back.
-
-    ``src``/``dst`` must be contiguous int64, ``caps``/``out_rates``
-    contiguous float64, all of the same length.  Every element of
-    ``out_rates`` is written.
-    """
-    if _LIB is None:
-        return False
-    m = src.shape[0]
-    rc = _LIB.repro_assign_rates(
-        n_nodes, m, src.ctypes.data, dst.ctypes.data, caps.ctypes.data,
-        nic_bw, 0.0 if bisection_bw is None else bisection_bw,
-        0 if bisection_bw is None else 1, out_rates.ctypes.data)
-    return rc == 0
+#: ``repro_fabric_allocate`` taking raw ``arr.ctypes.data`` addresses
+#: (see ``_fastalloc.c`` for the argument contract), or None when the
+#: kernel is unavailable.
+RAW_ALLOCATE = _LIB.repro_fabric_allocate if _LIB is not None else None

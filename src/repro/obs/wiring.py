@@ -4,8 +4,9 @@ Each ``register_*`` helper creates pure-read gauges over one component's
 existing state — the load/congestion signals the paper's own mechanisms
 consume (per-node intermediate bytes for ELB §VI-A, device pressure for
 CAD §VI-B, fabric utilization for §V-B) plus scheduler occupancy.  All
-reads go through accumulators the components already maintain; wiring
-never adds bookkeeping to a hot path.
+reads go through state the components already keep (the fabric sums
+per-node utilization over its flow table on read, cached until its
+rates change); wiring never adds bookkeeping to a hot path.
 
 Metric naming scheme (DESIGN.md §10): dotted ``component.quantity``
 names with ``{node=...}``-style labels, e.g.

@@ -14,7 +14,9 @@
  *   - the finish test `<= 1e-6` compares the identical double;
  *   - compaction only moves values, never recomputes them, and is
  *     order-preserving, so same-timestamp completions keep the FIFO
- *     order the determinism contract requires.
+ *     order the determinism contract requires.  The table's extra
+ *     columns (the fabric's src/dst/cap) are 8-byte words compacted in
+ *     the same pass, moved as integers so every bit pattern survives.
  *
  * Compile with strict FP semantics only: no -ffast-math, and
  * -ffp-contract=off so no FMA contraction changes the rounding of
@@ -27,16 +29,18 @@
 #include <stdint.h>
 
 /* Advance n flows by dt.  `remaining` and `rate` are parallel arrays;
- * both are compacted in place (survivors keep relative order).
+ * both are compacted in place (survivors keep relative order), and so
+ * are the n_extra 8-byte columns `extra[0..n_extra-1]`.
  * Pre-compaction indices of finished flows are written to `finished`
  * (caller provides capacity >= n) in ascending order.  Returns the
  * number of finished flows.
  */
 int64_t repro_fluid_drain(int64_t n, double dt,
                           double *remaining, double *rate,
-                          int64_t *finished)
+                          int64_t *finished,
+                          int64_t n_extra, uint64_t *const *extra)
 {
-    int64_t i, w = 0, k = 0;
+    int64_t i, e, w = 0, k = 0;
 
     for (i = 0; i < n; i++) {
         double left = remaining[i] - rate[i] * dt;
@@ -45,6 +49,9 @@ int64_t repro_fluid_drain(int64_t n, double dt,
         } else {
             remaining[w] = left;
             rate[w] = rate[i];
+            if (w != i)  /* extras only move once a hole opened */
+                for (e = 0; e < n_extra; e++)
+                    extra[e][w] = extra[e][i];
             w++;
         }
     }

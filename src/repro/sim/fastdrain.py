@@ -36,7 +36,8 @@ _LIB = ckernel.load(
         ctypes.c_int64,
         [ctypes.c_int64, ctypes.c_double,    # n, dt
          ctypes.c_void_p, ctypes.c_void_p,   # remaining, rate
-         ctypes.c_void_p]),                  # finished (out)
+         ctypes.c_void_p,                    # finished (out)
+         ctypes.c_int64, ctypes.c_void_p]),  # n_extra, extra column ptrs
      "repro_fair_share": (
         ctypes.c_double,                     # horizon
         [ctypes.c_double, ctypes.c_int64,    # capacity, n

@@ -5,13 +5,15 @@ Three pieces:
 
 * :class:`FlowTable` — the columnar flow store.  Every table carries
   float64 ``remaining`` and ``rate`` columns; owners declare only their
-  extra columns (the fabric's ``src``/``dst``/``cap``).  Appending a
+  extra columns (the fabric's ``src``/``dst``/``cap``), all 8-byte so
+  the C drain compacts them as raw words.  Appending a
   row is O(1) amortized — storage doubles when full instead of
   reallocating every column on every arrival (``np.append`` copies the
   whole array, which turns a shuffle wave's O(n) arrivals into O(n²)
   work).  :meth:`FlowTable.drain` is the one per-event drain: the C
-  kernel (:mod:`repro.sim.fastdrain`) when it loaded, otherwise one
-  vectorized NumPy pass.
+  kernel (:mod:`repro.sim.fastdrain`) when it loaded — decrement,
+  finish test and compaction of every column in one native pass —
+  otherwise one vectorized NumPy pass.
 * :class:`Flow` — one transfer in flight (completion event, tag, size).
 * :class:`FlowSet` — the event skeleton both fluid models run on: the
   flow list, same-timestamp reallocation coalescing, the token-guarded
@@ -31,8 +33,7 @@ per-completion full-array copies of every column.
 from __future__ import annotations
 
 import math
-from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Sequence,
-                    Tuple)
+from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -54,14 +55,19 @@ class FlowTable:
     ----------
     extra:
         ``name=dtype`` pairs declaring columns beyond the fixed float64
-        ``remaining`` and ``rate``.  Append order is ``remaining``,
+        ``remaining`` and ``rate``; each dtype must be 8 bytes wide
+        (``int64``, ``float64``).  Append order is ``remaining``,
         ``rate``, then the extras in declaration order.
     """
 
     __slots__ = ("n", "_capacity", "_names", "_extra", "_cols", "_fin",
-                 "p_rem", "p_rate", "_p_fin")
+                 "addr", "_p_fin", "_extra_ptrs", "_p_extra")
 
     def __init__(self, **extra: object) -> None:
+        for name, dtype in extra.items():
+            if np.dtype(dtype).itemsize != 8:
+                raise ValueError(
+                    f"column {name!r} must be 8 bytes wide, got {dtype}")
         self.n = 0
         self._capacity = 0
         self._extra: Tuple[str, ...] = tuple(extra)
@@ -100,9 +106,12 @@ class FlowTable:
         # Raw data addresses for the C kernels: computing arr.ctypes.data
         # allocates a wrapper object per access, so the hot path reads
         # these cached integers (valid until the next reallocation).
-        self.p_rem = self._cols["remaining"].ctypes.data
-        self.p_rate = self._cols["rate"].ctypes.data
+        self.addr: Dict[str, int] = {
+            name: arr.ctypes.data for name, arr in self._cols.items()}
         self._p_fin = self._fin.ctypes.data
+        self._extra_ptrs = np.array([self.addr[name] for name in self._extra],
+                                    dtype=np.uint64)
+        self._p_extra = self._extra_ptrs.ctypes.data
 
     def drain(self, dt: float) -> List[int]:
         """Advance every row by ``dt`` and remove the finished ones.
@@ -116,19 +125,19 @@ class FlowTable:
         n = self.n
         raw = fastdrain.RAW_DRAIN
         if raw is not None:
-            k = raw(n, dt, self.p_rem, self.p_rate, self._p_fin)
+            addr = self.addr
+            k = raw(n, dt, addr["remaining"], addr["rate"], self._p_fin,
+                    len(self._extra), self._p_extra)
             if k == 0:
                 return []
-            # The kernel compacted remaining/rate; the extras follow.
-            fin = self._fin[:k]
-            self._compact(fin, self._extra)
-            return fin.tolist()
+            self.n = n - k
+            return self._fin[:k].tolist()
         rem = self._cols["remaining"][:n]
         rem -= self._cols["rate"][:n] * dt
         fin = np.flatnonzero(rem <= 1e-6)
         if fin.size == 0:
             return []
-        self._compact(fin, self._names)
+        self._compact(fin)
         return fin.tolist()
 
     def horizon(self) -> float:
@@ -146,27 +155,22 @@ class FlowTable:
         """Remove the rows at ``indices`` (sorted ascending, unique),
         preserving the relative order of the survivors."""
         if len(indices):
-            self._compact(indices, self._names)
+            self._compact(indices)
 
-    def _compact(self, indices: np.ndarray, names: Iterable[str]) -> None:
-        """Drop ``indices`` from the live count, sliding the survivors of
-        the ``names`` columns down over the holes."""
+    def _compact(self, indices: np.ndarray) -> None:
+        """Drop ``indices`` from the live count, sliding the survivors
+        down over the holes."""
         n = self.n
         m = n - len(indices)
-        if m and names:
+        if m:
             keep = np.ones(n, dtype=bool)
             keep[indices] = False
             survivors = np.flatnonzero(keep)
-            for name in names:
-                arr = self._cols[name]
+            for arr in self._cols.values():
                 # Fancy indexing materializes the gather before the
                 # write, so the overlapping in-place assignment is safe.
                 arr[:m] = arr[:n][survivors]
         self.n = m
-
-    def clear(self) -> None:
-        """Drop every row (storage is retained)."""
-        self.n = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<FlowTable {self.n}/{self._capacity} rows, "
@@ -186,10 +190,18 @@ class Flow:
 
     def __init__(self, size: float, cap: float, done: "Event",
                  started_at: float, tag: Any) -> None:
-        self.size = float(size)
-        self.remaining = float(size)
+        size = float(size)
+        cap = float(cap)
+        # Either would admit a flow that never completes.
+        if not 0.0 <= size < math.inf:
+            raise ValueError(
+                f"transfer size must be finite and >= 0, got {size}")
+        if not cap > 0.0:
+            raise ValueError(f"rate cap must be positive, got {cap}")
+        self.size = size
+        self.remaining = size
         self.rate = 0.0
-        self.cap = float(cap)
+        self.cap = cap
         self.done = done
         self.started_at = started_at
         self.tag = tag

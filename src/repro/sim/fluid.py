@@ -234,7 +234,7 @@ class FluidPipe(FlowSet):
             # objects do not mirror per event (advance() syncs them
             # at observer boundaries).
             return fs(self.capacity, n, self._p_caps, self._p_order,
-                      tab.p_rem, tab.p_rate)
+                      tab.addr["remaining"], tab.addr["rate"])
         tab.col("rate")[:] = fair_share(self.capacity, self._caps_cache,
                                         self._order)
         # Same per-flow divisions as the C kernel; min is

@@ -64,6 +64,24 @@ class TestBasicTransfers:
         with pytest.raises(ValueError, match=message):
             Fabric(sim, n_nodes=4, **kwargs)
 
+    @pytest.mark.parametrize("nbytes,cap,message", [
+        (1 * GB, 0.0, "rate cap must be positive"),
+        (1 * GB, -5.0, "rate cap must be positive"),
+        (1 * GB, math.nan, "rate cap must be positive"),
+        (1024.0, 0.0, "rate cap must be positive"),  # small-flow path
+        (math.nan, math.inf, "must be finite"),
+        (math.inf, math.inf, "must be finite"),
+    ])
+    def test_transfer_that_cannot_finish_rejected(self, sim, nbytes, cap,
+                                                  message):
+        """Each of these used to be accepted and never complete (or, on
+        the small-flow path, divide by zero)."""
+        fab = Fabric(sim, n_nodes=2, latency=0.0)
+        with pytest.raises(ValueError, match=message):
+            fab.transfer(0, 1, nbytes, cap=cap)
+        sim.run()
+        assert fab.n_active == 0
+
 
 class TestContention:
     def test_incast_shares_receiver_nic(self, sim):

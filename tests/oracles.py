@@ -177,6 +177,10 @@ class ReferenceFabric(Fabric):
         self.flows = survivors
         tab.remove(np.flatnonzero(finished_mask))
 
+    def _allocate(self) -> float:
+        self._assign_rates()
+        return self._tab.horizon()
+
     def _assign_rates(self) -> None:
         """Vectorised progressive-filling max–min allocation.
 

@@ -93,6 +93,23 @@ class TestFluidPipe:
         with pytest.raises(ValueError):
             pipe.transfer(-5.0)
 
+    @pytest.mark.parametrize("nbytes,cap,message", [
+        (100.0, 0.0, "rate cap must be positive"),
+        (100.0, -5.0, "rate cap must be positive"),
+        (100.0, math.nan, "rate cap must be positive"),
+        (math.nan, math.inf, "must be finite"),
+        (math.inf, math.inf, "must be finite"),
+    ])
+    def test_transfer_that_cannot_finish_rejected(self, nbytes, cap,
+                                                  message):
+        """Each of these used to be accepted and never complete."""
+        sim = Simulator()
+        pipe = FluidPipe(sim, capacity=100.0)
+        with pytest.raises(ValueError, match=message):
+            pipe.transfer(nbytes, cap=cap)
+        sim.run()
+        assert pipe.n_active == 0
+
     def test_negative_capacity_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError):
